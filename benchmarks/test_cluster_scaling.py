@@ -55,26 +55,29 @@ def test_cluster_campaign_scaling(tmp_path):
     def leg(workers: int) -> tuple:
         engine = ClusterEngine(max_workers=workers, shard_size=SHARD_SIZE,
                                cache_dir=cache_dir)
-        # Each leg runs under its own observability context so the
-        # worker-side cache accounting below reads the merged metrics
-        # registry instead of recomputing from engine bookkeeping.
+        # Each leg runs under its own observability context: golden
+        # builds, shard counts and worker-side cache accounting below all
+        # come from the merged metrics registry.
         with obs.observe() as ctx:
             started = time.perf_counter()
             outcome = engine.run([spec])[0]
             elapsed = time.perf_counter() - started
             ctx.finalize(run_id=spec.run_id())
-        return elapsed, outcome, engine.stats, ctx.registry
+        return elapsed, outcome, ctx.registry
+
+    def golden_builds(registry) -> int:
+        return int(registry.total("repro_golden_builds_total"))
 
     # Cold leg: the machine has never seen this golden identity; the
     # coordinator builds it once and every worker warm-loads it.
-    cold_seconds, cold_outcome, cold_stats, cold_metrics = leg(workers=1)
-    assert cold_stats["golden_builds"] == 1
+    cold_seconds, cold_outcome, cold_metrics = leg(workers=1)
+    assert golden_builds(cold_metrics) == 1
 
     # Warm legs: the artifact cache satisfies every golden lookup.
-    warm1_seconds, warm1_outcome, warm1_stats, warm1_metrics = leg(workers=1)
-    warm4_seconds, warm4_outcome, warm4_stats, warm4_metrics = leg(workers=WORKERS)
-    assert warm1_stats["golden_builds"] == 0, "warm cache rebuilt a golden"
-    assert warm4_stats["golden_builds"] == 0, "warm cache rebuilt a golden"
+    warm1_seconds, warm1_outcome, warm1_metrics = leg(workers=1)
+    warm4_seconds, warm4_outcome, warm4_metrics = leg(workers=WORKERS)
+    assert golden_builds(warm1_metrics) == 0, "warm cache rebuilt a golden"
+    assert golden_builds(warm4_metrics) == 0, "warm cache rebuilt a golden"
 
     # Parallelism and caching must cost nothing in fidelity.
     reference = cold_outcome.classification_fingerprint()
@@ -82,7 +85,7 @@ def test_cluster_campaign_scaling(tmp_path):
     assert warm4_outcome.classification_fingerprint() == reference
     assert cold_outcome.comprehensive.injections == FAULTS
 
-    shards = cold_stats["shards_total"]
+    shards = int(cold_metrics.total("repro_shards_executed_total"))
 
     def worker_cache(registry):
         hits = registry.value(
@@ -119,9 +122,9 @@ def test_cluster_campaign_scaling(tmp_path):
             f"not enforced ({cpus} usable cpus, "
             f"relaxed={bool(os.environ.get('CLUSTER_BENCH_RELAXED'))})"
         ),
-        "golden_builds_cold": cold_stats["golden_builds"],
-        "golden_builds_warm": warm1_stats["golden_builds"]
-                              + warm4_stats["golden_builds"],
+        "golden_builds_cold": golden_builds(cold_metrics),
+        "golden_builds_warm": golden_builds(warm1_metrics)
+                              + golden_builds(warm4_metrics),
         "worker_cache_hit_ratio": round(worker_hits / worker_lookups, 3),
         "classification": dict(cold_outcome.comprehensive.counts),
     }

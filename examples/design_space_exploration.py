@@ -5,8 +5,8 @@ a way to guide protection decisions.  This example expands a workloads x
 register-file-sizes cross-product with :func:`repro.api.sweep`, fans it out
 through an execution engine and prints the kind of table an architect would
 use to decide where ECC is worth its cost — the same sweep as Figure
-8/15/16.  Swap ``SerialEngine`` for ``ProcessPoolEngine`` to use every
-core; the results are bit-identical.
+8/15/16.  Swap ``SerialEngine()`` for ``make_engine("process")`` to shard
+the campaigns across every core; the results are bit-identical.
 
 Run with:  python examples/design_space_exploration.py
 """

@@ -11,13 +11,14 @@ This package is the one true entry point for running injection campaigns:
     Resolves specs into programs, golden runs and fault lists — shared by
     identity across campaigns — runs them, and persists/reloads outcomes
     through a :class:`ResultStore`.
-:class:`SerialEngine` / :class:`ProcessPoolEngine` / :class:`CheckpointEngine`
-    Pluggable :class:`ExecutionEngine` implementations that run spec
-    batches in-process, fanned out across cores, or serially with
-    checkpoint fast-forwarded injection runs — all with progress hooks
-    and bit-identical outcomes.  ``make_engine("cluster")`` adds the
-    sharded intra-campaign engine from :mod:`repro.cluster` (artifact
-    cache, journaled resumable runs).
+:class:`SerialEngine` / :func:`make_engine`
+    Pluggable execution engines (:class:`ExecutionEngine`) with
+    progress hooks and bit-identical outcomes.  :class:`SerialEngine` runs spec batches
+    in-process (optionally with checkpoint fast-forwarded injection
+    runs); ``make_engine("process"|"cluster"|"remote")`` builds the
+    sharded :class:`~repro.cluster.engine.ClusterEngine` from
+    :mod:`repro.cluster` (local pool or remote agents, artifact cache,
+    journaled resumable runs).
 :func:`sweep`
     Expands workloads x structures x configurations cross-products into
     spec lists for design-space exploration.
@@ -35,9 +36,7 @@ Quickstart::
 
 from repro.api.engine import (
     ENGINES,
-    CheckpointEngine,
     ExecutionEngine,
-    ProcessPoolEngine,
     SerialEngine,
     make_engine,
 )
@@ -51,14 +50,12 @@ __all__ = [
     "CampaignExecution",
     "CampaignOutcome",
     "CampaignSpec",
-    "CheckpointEngine",
     "ComprehensiveSummary",
     "ENGINES",
     "ExecutionEngine",
     "METHODS",
     "MerlinSummary",
     "PreparedCampaign",
-    "ProcessPoolEngine",
     "ResultStore",
     "SerialEngine",
     "Session",

@@ -1,29 +1,22 @@
-"""Pluggable execution engines for fanning campaign specs out.
+"""Pluggable execution engines: two routes from spec to outcome, five names.
 
 An :class:`ExecutionEngine` takes a list of independent campaign specs and
-returns their outcomes in order.  :class:`SerialEngine` runs them one by
-one in-process through a shared :class:`~repro.api.session.Session` (so
-specs that share a golden run or fault list pay for it once);
-:class:`ProcessPoolEngine` fans them out across worker processes — each
-worker rebuilds its state from the spec alone, which is exactly what the
-deterministic run identity guarantees is possible, so results are
-bit-identical to the serial engine's modulo wall-clock timings.
-:class:`CheckpointEngine` runs serially through a *checkpointing* session:
-injection runs fast-forward from golden-run machine-state checkpoints
-instead of cold-starting at cycle 0 (see :mod:`repro.uarch.checkpoint`),
-again with bit-identical outcomes.  The cluster engine
-(:class:`~repro.cluster.engine.ClusterEngine`, built via
-``make_engine("cluster")``) additionally parallelises *within* a campaign:
-fault lists shard across the worker pool, golden runs come from an on-disk
-artifact cache, and journaled runs are resumable after a kill.
+returns their outcomes in order, by one of two routes.
+:class:`SerialEngine` runs them one by one through a shared
+:class:`~repro.api.session.Session` — the reference path — optionally
+fast-forwarding injection runs from golden checkpoints.
+:class:`~repro.cluster.engine.ClusterEngine` plans, shards, journals and
+merges over a worker transport (local pool or remote agents).
+:func:`make_engine` maps ``serial``/``checkpoint`` onto the first and
+``process`` (an alias of ``cluster``)/``cluster``/``remote`` onto the
+second; outcomes are bit-identical and run ids never depend on the engine.
 
 All engines report through the same progress hook: ``progress(done,
-total)`` fires as campaigns complete.
+total)`` fires as work units complete; ``progress_unit`` names the unit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from repro import obs
@@ -37,6 +30,8 @@ from repro.faults.campaign import ProgressCallback
 class ExecutionEngine(Protocol):
     """Anything that can run a batch of campaign specs."""
 
+    progress_unit: str
+
     def run(
         self,
         specs: Sequence[CampaignSpec],
@@ -48,16 +43,33 @@ class ExecutionEngine(Protocol):
 
 
 class SerialEngine:
-    """Run specs sequentially through one shared session."""
+    """Run specs sequentially through one shared session.
 
-    name = "serial"
+    ``checkpointing=True`` runs every injection fast-forwarded: golden runs
+    capture a machine-state checkpoint timeline, and each injection run
+    restores the nearest checkpoint at-or-before its fault's cycle and
+    simulates only the tail, ending early when the faulty state
+    reconverges exactly onto a later golden checkpoint.  Outcomes are
+    bit-identical either way — only wall clock changes.
 
-    def __init__(self, session: Optional[Session] = None):
+    ``checkpoint_interval`` tunes the snapshot spacing in cycles; the
+    default spreads ~32 checkpoints evenly over each golden run.  Smaller
+    intervals shorten the re-simulated tail but cost more snapshot memory
+    and capture time (see README, "Engines").
+    """
+
+    progress_unit = "campaigns"
+
+    def __init__(self, session: Optional[Session] = None,
+                 checkpointing: bool = False,
+                 checkpoint_interval: Optional[int] = None):
         self.session = session
+        self.checkpointing = checkpointing
+        self.checkpoint_interval = checkpoint_interval
 
-    def _session_for(self, store: Optional[ResultStore]) -> Session:
-        """The session this run uses (subclasses configure it differently)."""
-        return self.session if self.session is not None else Session(store=store)
+    @property
+    def name(self) -> str:
+        return "checkpoint" if self.checkpointing else "serial"
 
     def run(
         self,
@@ -65,12 +77,24 @@ class SerialEngine:
         store: Optional[ResultStore] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> List[CampaignOutcome]:
-        session = self._session_for(store)
-        # An explicit store must win even over an injected session's own,
-        # so swapping engines never silently changes where results land.
-        previous_store = session.store
+        session = self.session
+        if session is None:
+            session = Session(checkpointing=self.checkpointing,
+                              checkpoint_interval=self.checkpoint_interval)
+        # Configure an injected session for this run only: an explicit
+        # store wins over its own, and checkpointing is switched on for
+        # this batch alone, so swapping engines never silently changes
+        # where results land or how a shared session runs later batches.
+        overrides: Dict[str, Any] = {}
         if store is not None:
-            session.store = store
+            overrides["store"] = store
+        if self.checkpointing:
+            overrides["checkpointing"] = True
+            if self.checkpoint_interval is not None:
+                overrides["checkpoint_interval"] = self.checkpoint_interval
+        previous = {key: getattr(session, key) for key in overrides}
+        for key, value in overrides.items():
+            setattr(session, key, value)
         try:
             outcomes: List[CampaignOutcome] = []
             total = len(specs)
@@ -92,164 +116,15 @@ class SerialEngine:
                     progress(index + 1, total)
             return outcomes
         finally:
-            session.store = previous_store
-
-
-class CheckpointEngine(SerialEngine):
-    """Serial execution with checkpoint fast-forwarded injection runs.
-
-    Golden runs capture a machine-state checkpoint timeline; every
-    injection run restores the nearest checkpoint at-or-before its fault's
-    cycle and simulates only the tail, ending early when the faulty state
-    reconverges exactly onto a later golden checkpoint.  Outcomes are
-    bit-identical to :class:`SerialEngine`'s — only wall clock changes.
-
-    ``checkpoint_interval`` tunes the snapshot spacing in cycles; the
-    default spreads ~32 checkpoints evenly over each golden run.  Smaller
-    intervals shorten the re-simulated tail but cost more snapshot memory
-    and capture time (see README, "Engines").
-    """
-
-    name = "checkpoint"
-
-    def __init__(self, session: Optional[Session] = None,
-                 checkpoint_interval: Optional[int] = None):
-        super().__init__(session)
-        self.checkpoint_interval = checkpoint_interval
-
-    def _session_for(self, store: Optional[ResultStore]) -> Session:
-        if self.session is not None:
-            return self.session
-        return Session(
-            store=store,
-            checkpointing=True,
-            checkpoint_interval=self.checkpoint_interval,
-        )
-
-    def run(
-        self,
-        specs: Sequence[CampaignSpec],
-        store: Optional[ResultStore] = None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[CampaignOutcome]:
-        if self.session is None:
-            # _session_for builds a checkpointing session per run.
-            return super().run(specs, store=store, progress=progress)
-        # Like SerialEngine's store handling: configure an *injected*
-        # session for this run only, so swapping engines never silently
-        # changes how a shared session executes later batches.
-        session = self.session
-        previous = (session.checkpointing, session.checkpoint_interval)
-        session.checkpointing = True
-        if self.checkpoint_interval is not None:
-            session.checkpoint_interval = self.checkpoint_interval
-        try:
-            return super().run(specs, store=store, progress=progress)
-        finally:
-            session.checkpointing, session.checkpoint_interval = previous
-
-
-def _run_spec_worker(spec_dict: Dict[str, Any], store_dir: Optional[str],
-                     obs_enabled: bool = False) -> Dict[str, Any]:
-    """Process-pool worker: rebuild the session from identity, run one spec.
-
-    Module-level so it pickles by reference; everything crossing the
-    process boundary is plain JSON-shaped data.  With ``obs_enabled`` the
-    worker runs under its own observability context and ships its metrics
-    and trace events home in the payload's ``"obs"`` slot; the outcome
-    itself is byte-identical either way.
-    """
-    store = ResultStore(store_dir) if store_dir else None
-    spec = CampaignSpec.from_dict(spec_dict)
-    if not obs_enabled:
-        outcome = Session(store=store).run(spec)
-        return {"outcome": outcome.to_dict(), "obs": None}
-    with obs.observe(role="worker") as obs_ctx:
-        from_store = store is not None and store.has(spec.run_id())
-        session = Session(store=store)
-        with obs_ctx.span("campaign", run_id=spec.run_id(), engine="process"):
-            outcome = session.run(spec)
-        if from_store:
-            obs_ctx.campaign_from_store()
-        else:
-            obs_ctx.campaign_done()
-        return {"outcome": outcome.to_dict(), "obs": obs_ctx.drain_payload()}
-
-
-class ProcessPoolEngine:
-    """Fan independent specs out across worker processes.
-
-    Each worker rebuilds programs, golden runs and fault lists from the
-    spec, so only spec/outcome dictionaries cross process boundaries.
-    Custom (session-registered) programs are not resolvable in workers;
-    use :class:`SerialEngine` for those.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        specs: Sequence[CampaignSpec],
-        store: Optional[ResultStore] = None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[CampaignOutcome]:
-        if not specs:
-            return []
-        store_dir = str(store.root) if store is not None else None
-        total = len(specs)
-        outcomes: List[Optional[CampaignOutcome]] = [None] * total
-        obs_ctx = obs.active()
-        # Completion order is nondeterministic; worker obs payloads are
-        # buffered by spec index and absorbed in order after the pool
-        # drains, so the merged trace is stable run to run.
-        obs_payloads: List[Optional[Dict[str, Any]]] = [None] * total
-        done = 0
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            pending = {
-                pool.submit(_run_spec_worker, spec.to_dict(), store_dir,
-                            obs_ctx is not None): index
-                for index, spec in enumerate(specs)
-            }
-            if obs_ctx is not None:
-                obs_ctx.queue_depth(len(pending))
-            try:
-                while pending:
-                    finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index = pending.pop(future)
-                        try:
-                            payload = future.result()
-                        except Exception as failure:
-                            # A worker failure must surface immediately —
-                            # not hang the pool or silently drop faults.
-                            raise RuntimeError(
-                                f"campaign {specs[index].describe()} failed "
-                                f"in a worker process: {failure!r}"
-                            ) from failure
-                        outcomes[index] = CampaignOutcome.from_dict(
-                            payload["outcome"])
-                        obs_payloads[index] = payload.get("obs")
-                        if obs_ctx is not None:
-                            obs_ctx.queue_depth(len(pending))
-                        done += 1
-                        if progress is not None:
-                            progress(done, total)
-            except BaseException:
-                # Don't wait for queued work once one campaign has failed.
-                for future in pending:
-                    future.cancel()
-                raise
-        if obs_ctx is not None:
-            for worker_payload in obs_payloads:
-                obs_ctx.absorb_payload(worker_payload)
-        return [outcome for outcome in outcomes if outcome is not None]
+            for key, value in previous.items():
+                setattr(session, key, value)
 
 
 #: Engine names accepted by the CLI's ``--engine`` flag.
 ENGINES = ("serial", "process", "checkpoint", "cluster", "remote")
+
+#: The names that run through the cluster engine (plan/shard/journal/merge).
+_SHARDED = ("process", "cluster", "remote")
 
 
 def make_engine(name: str, max_workers: Optional[int] = None,
@@ -258,59 +133,47 @@ def make_engine(name: str, max_workers: Optional[int] = None,
                 cache_dir: Optional[str] = None,
                 resume: bool = False,
                 hosts: Optional[str] = None) -> ExecutionEngine:
-    """Build an engine by CLI name."""
-    if checkpoint_interval is not None and name not in (
-            "checkpoint", "cluster", "remote"):
-        raise ValueError(
-            f"checkpoint_interval only applies to the checkpoint, cluster "
-            f"and remote engines, not {name!r}"
-        )
+    """Build an engine by CLI name, refusing knobs it would ignore."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
+    for flag, value, engines in (
+            ("workers", max_workers, ("process", "cluster")),
+            ("checkpoint_interval", checkpoint_interval,
+             ("checkpoint",) + _SHARDED),
+            ("shard_size", shard_size, _SHARDED),
+            ("cache_dir", cache_dir, _SHARDED),
+            ("resume", resume or None, _SHARDED),
+            ("hosts", hosts, ("remote",))):
+        if value is not None and name not in engines:
+            raise ValueError(
+                f"{flag} does not apply to the {name} engine, only to "
+                f"{'/'.join(engines)}"
+            )
     if checkpoint_interval is not None and checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1 cycle, got {checkpoint_interval}"
         )
-    if name not in ("cluster", "remote"):
-        for flag, value in (("shard_size", shard_size), ("cache_dir", cache_dir),
-                            ("resume", resume or None)):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} only applies to the cluster and remote engines, "
-                    f"not {name!r}"
-                )
-    if hosts is not None and name != "remote":
-        raise ValueError(
-            f"hosts only applies to the remote engine, not {name!r}"
-        )
-    if name == "serial":
-        return SerialEngine()
-    if name == "process":
-        return ProcessPoolEngine(max_workers=max_workers)
-    if name == "checkpoint":
-        return CheckpointEngine(checkpoint_interval=checkpoint_interval)
-    if name == "cluster":
-        # Imported here: repro.cluster builds on this module's siblings.
-        from repro.cluster.engine import ClusterEngine
+    if name in ("serial", "checkpoint"):
+        return SerialEngine(checkpointing=name == "checkpoint",
+                            checkpoint_interval=checkpoint_interval)
+    # Imported here: repro.cluster builds on this module's siblings.
+    from repro.cluster.engine import ClusterEngine
 
-        return ClusterEngine(
-            max_workers=max_workers,
-            shard_size=shard_size,
-            cache_dir=cache_dir,
-            resume=resume,
-            checkpoint_interval=checkpoint_interval,
-        )
+    transport = None
     if name == "remote":
-        if max_workers is not None:
-            raise ValueError(
-                "workers does not apply to the remote engine: each agent "
-                "host runs one shard at a time"
-            )
-        from repro.cluster.remote import RemoteClusterEngine
+        from repro.cluster.remote import parse_hosts
+        from repro.cluster.transport import TcpAgentTransport
 
-        return RemoteClusterEngine(
-            hosts=hosts,
-            shard_size=shard_size,
-            cache_dir=cache_dir,
-            resume=resume,
-            checkpoint_interval=checkpoint_interval,
-        )
-    raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
+        addresses = parse_hosts(hosts)
+        if not addresses:
+            raise ValueError(
+                "the remote engine needs --hosts HOST:PORT[,HOST:PORT...]")
+        transport = TcpAgentTransport(addresses)
+    return ClusterEngine(
+        max_workers=max_workers,
+        shard_size=shard_size,
+        cache_dir=cache_dir,
+        resume=resume,
+        checkpoint_interval=checkpoint_interval,
+        transport=transport,
+    )

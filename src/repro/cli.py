@@ -64,6 +64,15 @@ def _store_from(args: argparse.Namespace) -> Optional[ResultStore]:
     return ResultStore(args.store) if getattr(args, "store", None) else None
 
 
+def _engine_from(args: argparse.Namespace):
+    return make_engine(
+        args.engine, max_workers=args.workers,
+        checkpoint_interval=args.checkpoint_interval,
+        shard_size=args.shard_size, cache_dir=args.cache_dir,
+        resume=args.resume, hosts=args.hosts,
+    )
+
+
 def _parse_model_params(pairs: Optional[List[str]]) -> dict:
     """Parse repeated ``--model-param NAME=VALUE`` flags (integer values)."""
     params: dict = {}
@@ -111,6 +120,33 @@ def _flush_obs(ctx, args: argparse.Namespace,
         snapshot = ctx.to_snapshot()
         for outcome in outcomes:
             store.save_metrics(outcome.run_id, snapshot)
+
+
+def _run_specs(args: argparse.Namespace, engine, specs: List[CampaignSpec],
+               show_progress: bool = False, observe: bool = False):
+    """Run ``specs`` for one subcommand; ``(outcomes, metrics registry)``.
+
+    The run is observed when ``observe`` is set or ``--metrics-out``/
+    ``--trace-out`` ask for artifacts; the registry is ``None`` otherwise.
+    """
+    progress = None
+    if show_progress and not args.json:
+        def progress(done: int, total: int) -> None:
+            print(f"\r{done}/{total} {engine.progress_unit}", end="",
+                  file=sys.stderr, flush=True)
+    store = _store_from(args)
+    registry = None
+    if observe or _obs_requested(args):
+        with obs.observe() as obs_ctx:
+            outcomes = engine.run(specs, store=store, progress=progress)
+            if _obs_requested(args):
+                _flush_obs(obs_ctx, args, outcomes, store)
+        registry = obs_ctx.registry
+    else:
+        outcomes = engine.run(specs, store=store, progress=progress)
+    if progress is not None:
+        print(file=sys.stderr)
+    return outcomes, registry
 
 
 def _print_outcome(outcome: CampaignOutcome) -> None:
@@ -183,19 +219,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fault_model=args.fault_model,
         model_params=_parse_model_params(args.model_param),
     )
-    engine = make_engine(
-        args.engine, max_workers=args.workers,
-        checkpoint_interval=args.checkpoint_interval,
-        shard_size=args.shard_size, cache_dir=args.cache_dir, resume=args.resume,
-        hosts=args.hosts,
-    )
-    store = _store_from(args)
-    if _obs_requested(args):
-        with obs.observe() as obs_ctx:
-            outcome = engine.run([spec], store=store)[0]
-            _flush_obs(obs_ctx, args, [outcome], store)
-    else:
-        outcome = engine.run([spec], store=store)[0]
+    [outcome], _ = _run_specs(args, _engine_from(args), [spec])
     if args.json:
         _emit_json(outcome.to_dict())
         return 0
@@ -238,26 +262,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fault_model=args.fault_model,
         model_params=_parse_model_params(args.model_param),
     )
-    engine = make_engine(args.engine, max_workers=args.workers,
-                         checkpoint_interval=args.checkpoint_interval,
-                         shard_size=args.shard_size, cache_dir=args.cache_dir,
-                         resume=args.resume, hosts=args.hosts)
-    progress = None
-    if not args.json:
-        # The cluster engines report finer-grained work units (shards).
-        unit = "shards" if args.engine in ("cluster", "remote") else "campaigns"
-
-        def progress(done: int, total: int) -> None:
-            print(f"\r{done}/{total} {unit}", end="", file=sys.stderr, flush=True)
-    store = _store_from(args)
-    if _obs_requested(args):
-        with obs.observe() as obs_ctx:
-            outcomes = engine.run(specs, store=store, progress=progress)
-            _flush_obs(obs_ctx, args, outcomes, store)
-    else:
-        outcomes = engine.run(specs, store=store, progress=progress)
-    if progress is not None:
-        print(file=sys.stderr)
+    outcomes, _ = _run_specs(args, _engine_from(args), specs,
+                             show_progress=True)
 
     if args.json:
         _emit_json([outcome.to_dict() for outcome in outcomes])
@@ -417,44 +423,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Restart a killed cluster campaign from its journal."""
-    from repro.cluster import ClusterEngine, RunJournal
+    from repro.cluster import RunJournal
 
     journal = RunJournal.load(Path(args.cache_dir) / "journals", args.run_id)
-    spec = journal.spec()
-    if args.hosts:
-        from repro.cluster.remote import RemoteClusterEngine
-
-        engine: ClusterEngine = RemoteClusterEngine(
-            hosts=args.hosts,
-            shard_size=journal.shard_size,
-            cache_dir=args.cache_dir,
-            resume=True,
-            checkpoint_interval=journal.checkpoint_interval,
-        )
-    else:
-        engine = ClusterEngine(
-            max_workers=args.workers,
-            shard_size=journal.shard_size,
-            cache_dir=args.cache_dir,
-            resume=True,
-            checkpoint_interval=journal.checkpoint_interval,
-        )
-    progress = None
+    engine = make_engine(
+        "remote" if args.hosts else "cluster", max_workers=args.workers,
+        checkpoint_interval=journal.checkpoint_interval,
+        shard_size=journal.shard_size, cache_dir=args.cache_dir, resume=True,
+        hosts=args.hosts,
+    )
+    [outcome], registry = _run_specs(args, engine, [journal.spec()],
+                                     show_progress=True, observe=True)
     if not args.json:
-        def progress(done: int, total: int) -> None:
-            print(f"\r{done}/{total} shards", end="", file=sys.stderr, flush=True)
-    store = _store_from(args)
-    if _obs_requested(args):
-        with obs.observe() as obs_ctx:
-            outcome = engine.run([spec], store=store, progress=progress)[0]
-            _flush_obs(obs_ctx, args, [outcome], store)
-    else:
-        outcome = engine.run([spec], store=store, progress=progress)[0]
-    if progress is not None:
-        print(file=sys.stderr)
-        print(f"resumed {args.run_id}: {engine.stats['shards_reused']} shards "
-              f"from the journal, {engine.stats['shards_executed']} executed",
-              file=sys.stderr)
+        reused = int(registry.total("repro_shards_reused_total"))
+        executed = int(registry.total("repro_shards_executed_total"))
+        print(f"resumed {args.run_id}: {reused} shards from the journal, "
+              f"{executed} executed", file=sys.stderr)
     if args.json:
         _emit_json(outcome.to_dict())
         return 0
@@ -536,13 +520,15 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-size", type=int, default=None, metavar="FAULTS",
-                        help="cluster engine: max faults per shard (default 250)")
+                        help="process/cluster/remote engines: max faults "
+                             "per shard (default 250)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cluster engine: golden-artifact cache and "
-                             "journal directory (default .repro-cache)")
+                        help="process/cluster/remote engines: golden-"
+                             "artifact cache and journal directory "
+                             "(default .repro-cache)")
     parser.add_argument("--resume", action="store_true",
-                        help="cluster engine: reuse journaled shards of a "
-                             "previous (killed) run")
+                        help="process/cluster/remote engines: require "
+                             "the journal of a previous (killed) run")
     parser.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                         help="remote engine: comma-separated worker agents "
                              "(each runs python -m repro.cluster.agent)")
@@ -583,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(shorthand for --method both)")
     run_parser.add_argument("--engine", default="serial", choices=list(ENGINES),
                             help="execution engine: serial cold-start, "
-                                 "process fan-out, checkpoint fast-forward, "
-                                 "cluster sharded fan-out, or remote agents "
-                                 "via --hosts (default serial)")
+                                 "checkpoint fast-forward, process/cluster "
+                                 "sharded local-pool fan-out, or remote "
+                                 "agents via --hosts (default serial)")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="process/cluster worker count (default: cores)")
     run_parser.add_argument("--checkpoint-interval", type=int, default=None,
@@ -620,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--engine", default="serial", choices=list(ENGINES),
                               help="execution engine (default serial)")
     sweep_parser.add_argument("--workers", type=int, default=None,
-                              help="process-engine worker count (default: cores)")
+                              help="process/cluster worker count (default: cores)")
     sweep_parser.add_argument("--checkpoint-interval", type=int, default=None,
                               metavar="CYCLES",
                               help="checkpoint/cluster engine snapshot spacing "

@@ -5,19 +5,19 @@ campaign's fault list is cut into deterministic, checkpoint-aligned
 :class:`FaultShard`s, golden runs and their checkpoint timelines are
 shared machine-wide through a content-addressed :class:`ArtifactCache`,
 per-shard outcomes are journaled append-only in a :class:`RunJournal`, and
-the :class:`ClusterEngine` fans the shards of a whole batch out across a
-worker pool — with ``repro resume <run_id>`` restarting a killed run from
-exactly the shards it was missing.  Merged outcomes are bit-identical to
-:class:`~repro.api.engine.SerialEngine`'s.
+the :class:`ClusterEngine` fans the shards of a whole batch out across
+worker hosts — with ``repro resume <run_id>`` restarting a killed run
+from exactly the shards it was missing.  Merged outcomes are
+bit-identical to :class:`~repro.api.engine.SerialEngine`'s.
 
 Execution is pluggable below the engine: a
 :class:`~repro.cluster.transport.WorkerTransport` carries shards to
-hosts (local process pool, remote line-JSON agents, or the
-fault-injecting :class:`~repro.cluster.transport.FakeTransport` used in
-tests), and the :class:`~repro.cluster.remote.Coordinator` leases,
-heartbeats and work-steals over whichever transport is plugged in —
-:class:`RemoteClusterEngine` is the ``--engine remote --hosts ...`` face
-of that seam.
+hosts, and the :class:`~repro.cluster.remote.Coordinator` leases,
+heartbeats and work-steals over whichever transport is plugged in.
+``--engine process`` and ``cluster`` use the local process pool
+(:class:`LocalPoolTransport`), ``--engine remote --hosts ...`` passes a
+:class:`TcpAgentTransport`, and tests pass the fault-injecting
+:class:`FakeTransport`; all are ``ClusterEngine(transport=...)``.
 """
 
 from repro.cluster.artifacts import (
@@ -28,7 +28,7 @@ from repro.cluster.artifacts import (
 from repro.cluster.engine import DEFAULT_CACHE_DIR, ClusterEngine
 from repro.cluster.journal import JournalError, RunJournal, journal_path
 from repro.cluster.merge import MergeError, merge_shard_outcomes
-from repro.cluster.remote import Coordinator, RemoteClusterEngine
+from repro.cluster.remote import Coordinator
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
 from repro.cluster.transport import (
     FakeTransport,
@@ -51,7 +51,6 @@ __all__ = [
     "JournalError",
     "LocalPoolTransport",
     "MergeError",
-    "RemoteClusterEngine",
     "RunJournal",
     "ShardTask",
     "TcpAgentTransport",

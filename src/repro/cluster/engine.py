@@ -1,10 +1,10 @@
 """The cluster engine: intra-campaign fan-out with cache and journal.
 
-Where :class:`~repro.api.engine.ProcessPoolEngine` parallelises only
-*across* specs (a single 10k-fault campaign uses one core), the
-:class:`ClusterEngine` shards every campaign's injection targets into
+The :class:`ClusterEngine` is the plan → shard → journal → merge route
+from spec to outcome (the other is :class:`~repro.api.engine.SerialEngine`
+over ``Session.run``).  It shards every campaign's injection targets into
 checkpoint-aligned :class:`~repro.cluster.shards.FaultShard`s and fans the
-shards of *all* campaigns in the batch out across one worker pool:
+shards of *all* campaigns in the batch out over one worker transport:
 
 1. The coordinator resolves each spec through a checkpointing
    :class:`~repro.api.session.Session` backed by the on-disk
@@ -13,8 +13,11 @@ shards of *all* campaigns in the batch out across one worker pool:
    warm-loaded by every worker process.
 2. Injection targets (the full fault list for comprehensive/both, the
    MeRLiN group representatives for merlin-only) are sharded
-   deterministically and executed by pool workers, which restore from the
-   shared golden checkpoints and return per-fault outcomes.
+   deterministically and leased by the
+   :class:`~repro.cluster.remote.Coordinator` to the transport's hosts —
+   local pool workers by default (``--engine process``/``cluster``), TCP
+   agents for ``--engine remote`` — which restore from the shared golden
+   checkpoints and return per-fault outcomes.
 3. Every completed shard is journaled append-only
    (:class:`~repro.cluster.journal.RunJournal`); a killed run resumes with
    ``resume=True`` (CLI: ``repro resume <run_id>``), re-executing only the
@@ -25,6 +28,8 @@ shards of *all* campaigns in the batch out across one worker pool:
 
 Progress reports in work units: one unit per shard, plus one per campaign
 that is satisfied without sharding (reloaded from the result store).
+Run bookkeeping (shards executed and reused, golden builds, steals, ...)
+is counted only in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,13 @@ from repro.api.store import ResultStore
 from repro.cluster.artifacts import ArtifactCache, golden_cache_key
 from repro.cluster.journal import JournalError, RunJournal, ShardOutcomes
 from repro.cluster.merge import merge_shard_outcomes
+from repro.cluster.remote import (
+    DEFAULT_LEASE_TIMEOUT,
+    Coordinator,
+    validate_shard_payload,
+)
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
+from repro.cluster.transport import LocalPoolTransport, ShardTask, WorkerTransport
 from repro.core.grouping import GroupedFaults, group_faults
 from repro.core.intervals import build_interval_set
 from repro.faults.campaign import ComprehensiveCampaign, ProgressCallback
@@ -157,7 +168,7 @@ class _CampaignPlan:
 
 
 class ClusterEngine:
-    """Shard campaigns across a worker pool, with cache and resume.
+    """Shard campaigns across a worker transport, with cache and resume.
 
     ``shard_size`` bounds faults per shard (default
     :data:`~repro.cluster.shards.DEFAULT_SHARD_SIZE`); ``cache_dir`` holds
@@ -166,31 +177,43 @@ class ClusterEngine:
     plan (see :meth:`_journal_for`); ``resume=True`` makes that strict —
     the journal must exist and match the plan, or the run fails instead
     of starting over.  ``checkpoint_interval`` tunes golden snapshot
-    spacing exactly as for the checkpoint engine.  Custom
-    (session-registered) programs are not resolvable in workers; use
-    :class:`SerialEngine` for those.
+    spacing exactly as for the checkpointing serial engine.
 
-    After each :meth:`run`, :attr:`stats` holds the run's bookkeeping
-    (shards executed/reused, golden builds, worker cache hits, ...) —
-    deliberately *not* folded into the outcomes, which stay bit-identical
-    to the serial engine's.
+    Shards execute on ``transport``: by default a
+    :class:`~repro.cluster.transport.LocalPoolTransport` of
+    ``max_workers`` processes (default: every core); pass a
+    :class:`~repro.cluster.transport.TcpAgentTransport` for remote agents
+    or a :class:`~repro.cluster.transport.FakeTransport` for chaos tests.
+    ``lease_timeout`` is how long a host may go without a heartbeat before
+    its shards are stolen.  Planning, journaling and merging never depend
+    on the transport, so run ids, journals and outcomes are identical on
+    all of them.  Custom (session-registered) programs are not resolvable
+    in workers; use :class:`~repro.api.engine.SerialEngine` for those.
     """
 
-    name = "cluster"
+    progress_unit = "shards"
 
     def __init__(self, max_workers: Optional[int] = None,
                  shard_size: Optional[int] = None,
                  cache_dir: Union[str, Path, None] = None,
                  resume: bool = False,
-                 checkpoint_interval: Optional[int] = None):
+                 checkpoint_interval: Optional[int] = None,
+                 transport: Optional[WorkerTransport] = None,
+                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT):
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"workers must be >= 1, got {max_workers}")
+        if max_workers is not None and transport is not None:
+            raise ValueError("max_workers sizes the local pool; it does not "
+                             "apply to an explicit transport")
         self.max_workers = max_workers
         self.shard_size = shard_size if shard_size is not None else DEFAULT_SHARD_SIZE
         self.cache_dir = Path(cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
         self.resume = resume
         self.checkpoint_interval = checkpoint_interval
-        self.stats: Dict[str, int] = {}
+        self.transport = transport
+        self.lease_timeout = lease_timeout
 
     @property
     def journal_dir(self) -> Path:
@@ -210,53 +233,30 @@ class ClusterEngine:
             checkpoint_interval=self.checkpoint_interval,
             artifact_cache=cache,
         )
-        self.stats = {
-            "campaigns": len(specs),
-            "campaigns_from_store": 0,
-            "golden_builds": 0,
-            "shards_total": 0,
-            "shards_executed": 0,
-            "shards_reused": 0,
-            "worker_cache_hits": 0,
-            "worker_cache_misses": 0,
-            # Coordinator bookkeeping (all zero for an undisturbed run).
-            "shard_steals": 0,
-            "heartbeat_misses": 0,
-            "duplicate_results": 0,
-            "torn_results": 0,
-            "transport_retries": 0,
-            "hosts_lost": 0,
-            "host_warms": 0,
-        }
-
         outcomes: List[Optional[CampaignOutcome]] = [None] * len(specs)
         plans: List[_CampaignPlan] = []
         obs_ctx = obs.active()
 
         # Phase 1 — resolve and shard every campaign (coordinator, serial).
+        from_store = 0
         with obs.span("cluster_plan", campaigns=len(specs)):
             for index, spec in enumerate(specs):
                 if store is not None:
                     cached = store.get(spec.run_id())
                     if cached is not None:
                         outcomes[index] = cached
-                        self.stats["campaigns_from_store"] += 1
+                        from_store += 1
                         if obs_ctx is not None:
                             obs_ctx.campaign_from_store()
                         continue
                 plans.append(self._plan(index, spec, session))
-        self.stats["golden_builds"] = cache.misses
-        self.stats["shards_total"] = sum(len(plan.shards) for plan in plans)
-        self.stats["shards_reused"] = sum(
-            len(plan.shards) - len(plan.pending) for plan in plans
-        )
+        shards_total = sum(len(plan.shards) for plan in plans)
+        shards_reused = shards_total - sum(len(plan.pending) for plan in plans)
         if obs_ctx is not None:
-            obs_ctx.shards_reused(self.stats["shards_reused"])
+            obs_ctx.shards_reused(shards_reused)
 
-        total_units = self.stats["campaigns_from_store"] + self.stats["shards_total"]
-        done_units = (
-            self.stats["campaigns_from_store"] + self.stats["shards_reused"]
-        )
+        total_units = from_store + shards_total
+        done_units = from_store + shards_reused
         # Seeding with the journaled/reused unit count (even when it is 0)
         # means a resumed run's first report already reflects prior work
         # and a fresh run starts visibly at 0/N rather than jumping in.
@@ -269,8 +269,8 @@ class ClusterEngine:
                 outcomes[plan.index] = self._finish(plan, store)
 
         # Phase 2 — execute the missing shards of all campaigns through
-        # the transport seam (local pool by default, remote agents or the
-        # fault-injecting fake behind the same coordinator loop).
+        # the transport (local pool, remote agents or the fault-injecting
+        # fake, all behind the same coordinator loop).
         pending_plans = [plan for plan in plans if plan.pending]
         if pending_plans:
             self._execute_pending(
@@ -281,17 +281,6 @@ class ClusterEngine:
         return [outcome for outcome in outcomes if outcome is not None]
 
     # ------------------------------------------------------------------
-    def _transport(self):
-        """The transport phase 2 fans out over; engines override this."""
-        from repro.cluster.transport import LocalPoolTransport
-
-        return LocalPoolTransport(max_workers=self.max_workers,
-                                  cache_dir=str(self.cache_dir))
-
-    def _coordinator_options(self) -> Dict[str, Any]:
-        """Extra :class:`~repro.cluster.remote.Coordinator` knobs."""
-        return {}
-
     def _execute_pending(
         self,
         pending_plans: List["_CampaignPlan"],
@@ -303,9 +292,6 @@ class ClusterEngine:
         obs_ctx: Optional[Any],
     ) -> None:
         """Run every pending shard exactly once via the coordinator."""
-        from repro.cluster.remote import Coordinator, validate_shard_payload
-        from repro.cluster.transport import ShardTask
-
         tasks: List[ShardTask] = []
         lookup: Dict[str, Tuple[_CampaignPlan, FaultShard]] = {}
         for plan in pending_plans:
@@ -350,22 +336,17 @@ class ClusterEngine:
             plan, shard = lookup[task.task_id]
             return f"campaign {plan.spec.describe()} {shard.describe()}"
 
-        coordinator = Coordinator(
-            self._transport(), describe=describe,
-            **self._coordinator_options(),
-        )
+        transport = self.transport
+        if transport is None:
+            transport = LocalPoolTransport(max_workers=self.max_workers,
+                                           cache_dir=str(self.cache_dir))
+        elif getattr(transport, "cache_dir", "") is None:
+            # In-memory transports execute with the coordinator's cache.
+            transport.cache_dir = str(self.cache_dir)  # type: ignore[attr-defined]
+        coordinator = Coordinator(transport, lease_timeout=self.lease_timeout,
+                                  describe=describe)
         coordinator.run(tasks, on_result, validate=validate)
 
-        for theirs, ours in (
-            ("steals", "shard_steals"),
-            ("heartbeat_misses", "heartbeat_misses"),
-            ("duplicates", "duplicate_results"),
-            ("torn_results", "torn_results"),
-            ("retries", "transport_retries"),
-            ("hosts_lost", "hosts_lost"),
-            ("warms", "host_warms"),
-        ):
-            self.stats[ours] += coordinator.stats.get(theirs, 0)
         if obs_ctx is not None:
             for key in sorted(obs_payloads):
                 obs_ctx.absorb_payload(obs_payloads[key])
@@ -459,9 +440,6 @@ class ClusterEngine:
         plan.journal.record_shard(shard, outcomes, golden_cache_hit=cache_hit)
         plan.outcomes.update(outcomes)
         del plan.pending[shard.shard_id()]
-        self.stats["shards_executed"] += 1
-        key = "worker_cache_hits" if cache_hit else "worker_cache_misses"
-        self.stats[key] += 1
 
     def _finish(self, plan: _CampaignPlan,
                 store: Optional[ResultStore]) -> CampaignOutcome:

@@ -1,11 +1,12 @@
 """Merge per-shard fault outcomes into a campaign outcome, bit-identically.
 
-The cluster engine's workers return nothing but ``fault_id -> (effect
-label, simulated cycles)`` maps.  Everything else in a
+The cluster engine's hosts (pool workers or remote agents) return
+nothing but ``fault_id -> (effect label, simulated cycles)`` maps.  Everything else in a
 :class:`~repro.api.result.CampaignOutcome` is a deterministic function of
 the spec, the golden run, the structure geometry, the fault list and — for
 MeRLiN — the grouping, all of which the coordinator derives locally.  The
-merge therefore reproduces :class:`SerialEngine`'s outcome field for field
+merge therefore reproduces the outcome of
+:class:`~repro.api.engine.SerialEngine` (``Session.run``) field for field
 (the differential harness in
 ``tests/integration/test_cluster_equivalence.py`` enforces it): the
 classification histograms are rebuilt by replaying the same ``add`` calls

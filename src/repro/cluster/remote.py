@@ -1,22 +1,18 @@
 """repro.cluster.remote — lease/heartbeat coordination over any transport.
 
-The :class:`Coordinator` is the one scheduling loop behind both cluster
-engines.  It leases shards to hosts (one per free capacity slot), tracks
-heartbeats against a lease deadline, and *steals* — re-leases — shards
+The :class:`Coordinator` is the one scheduling loop behind
+:class:`~repro.cluster.engine.ClusterEngine`, whatever its transport
+(local pool, TCP agents, or the chaos fake).  It leases shards to hosts
+(one per free capacity slot), tracks heartbeats against a lease
+deadline, and *steals* — re-leases — shards
 from hosts that die mid-shard or fall silent past the deadline.  Results
 merge through the caller's journal exactly once: shard payloads are
 deterministic, so the first valid delivery wins and later duplicates are
 counted and dropped.  Torn payloads (validation failure) and transient
 transport errors retry with capped exponential backoff; a non-transient
 worker failure aborts the run, leaving the journal's completed shards
-for ``resume``.
-
-:class:`RemoteClusterEngine` is :class:`~repro.cluster.engine.ClusterEngine`
-with the transport swapped for remote agents (``--engine remote
---hosts host:port,...``), plus knobs for lease timeout, poll interval
-and retry budget.  Everything identity-bearing — planning, journaling,
-merging — is inherited unchanged, which is why the remote path stays
-bit-identical to :class:`~repro.api.engine.SerialEngine`.
+for ``resume``.  Every steal, heartbeat miss, duplicate, torn result,
+retry and lost host is counted in the active :mod:`repro.obs` context.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -39,7 +34,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.cluster.engine import ClusterEngine
 from repro.cluster.shards import FaultShard
 from repro.resilience.retry import RetryPolicy
 from repro.cluster.transport import (
@@ -49,7 +43,6 @@ from repro.cluster.transport import (
     ShardFailed,
     ShardResult,
     ShardTask,
-    TcpAgentTransport,
     TransientTransportError,
     WorkerTransport,
 )
@@ -137,10 +130,6 @@ class Coordinator:
     tick counter) and ``time.monotonic`` otherwise, so lease deadlines
     are deterministic under test and wall-clock in production.  ``sleep``
     is only used for retry backoff and is injectable for the same reason.
-
-    After :meth:`run`, :attr:`stats` holds the chaos bookkeeping:
-    ``steals``, ``heartbeat_misses``, ``duplicates``, ``torn_results``,
-    ``retries``, ``hosts_lost``, ``warms``, ``dispatched``, ``completed``.
     """
 
     def __init__(self, transport: WorkerTransport,
@@ -172,24 +161,18 @@ class Coordinator:
             sleep=sleep,
         )
         self.describe = describe or (lambda task: f"shard task {task.task_id}")
-        self.stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[ShardTask],
             on_result: Callable[[ShardTask, Dict[str, Any]], None],
             validate: Optional[Callable[[ShardTask, Dict[str, Any]],
-                                        Optional[str]]] = None) -> Dict[str, int]:
+                                        Optional[str]]] = None) -> None:
         """Execute every task exactly once, calling ``on_result`` for each.
 
         ``on_result`` fires at most once per task, only for payloads that
         passed ``validate`` — it is where the engine journals and merges,
         so nothing torn or duplicated can reach the journal.
         """
-        self.stats = {
-            "hosts": 0, "dispatched": 0, "completed": 0, "warms": 0,
-            "steals": 0, "heartbeat_misses": 0, "duplicates": 0,
-            "torn_results": 0, "retries": 0, "hosts_lost": 0,
-        }
         by_id = {task.task_id: task for task in tasks}
         if len(by_id) != len(tasks):
             raise ValueError("duplicate task ids in one coordinator run")
@@ -206,7 +189,6 @@ class Coordinator:
         if not hosts:
             raise RuntimeError(
                 f"transport {self.transport.name!r} opened with no hosts")
-        self.stats["hosts"] = len(hosts)
         self._hosts = list(hosts)
         self._alive: Set[str] = set(hosts)
         self._free: Dict[str, int] = {
@@ -230,7 +212,6 @@ class Coordinator:
                 self._expire_leases()
         finally:
             self.transport.close()
-        return self.stats
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -260,19 +241,16 @@ class Coordinator:
                                  lambda: self.transport.warm(host, task)):
                 return False
             self._warmed.add((host, task.warm_key))
-            self.stats["warms"] += 1
         if not self._attempt(host, task,
                              lambda: self.transport.dispatch(host, task)):
             return False
         self._free[host] -= 1
         self._leases[task.task_id] = _Lease(
             task=task, host=host, deadline=self.clock() + self.lease_timeout)
-        self.stats["dispatched"] += 1
         return True
 
     def _count_retry(self, attempt: int,
                      failure: Optional[BaseException]) -> None:
-        self.stats["retries"] += 1
         if self._obs is not None:
             self._obs.transport_retry()
 
@@ -323,33 +301,28 @@ class Coordinator:
 
     def _handle_result(self, event: ShardResult) -> None:
         lease = self._leases.get(event.task_id)
-        if event.task_id in self._completed:
-            # A stale host (stolen lease) or a double delivery: results
-            # are deterministic, so the copy is identical — drop it.
-            self.stats["duplicates"] += 1
+        if event.task_id in self._completed or lease is None:
+            # A stale host (stolen lease), a double delivery, or a result
+            # for a task not leased out right now: results are
+            # deterministic, so the copy is identical — drop it.
             if self._obs is not None:
                 self._obs.duplicate_result()
             if lease is not None and lease.host == event.host:
                 self._release(event.task_id)
             return
-        task = lease.task if lease is not None else None
-        if task is None:
-            self.stats["duplicates"] += 1
-            return  # result for a task this run never leased out
+        task = lease.task
         error = (self._validate(task, event.payload)
                  if self._validate is not None else None)
         if error is not None:
-            self.stats["torn_results"] += 1
             if self._obs is not None:
                 self._obs.torn_result()
-            if lease is not None and lease.host == event.host:
+            if lease.host == event.host:
                 self._release(event.task_id)
                 self._requeue_failed(task, error)
             return
-        if lease is not None and lease.host == event.host:
+        if lease.host == event.host:
             self._release(event.task_id)
         self._completed.add(event.task_id)
-        self.stats["completed"] += 1
         if self._obs is not None:
             self._obs.host_shard_done(event.host)
         self._on_result(task, event.payload)
@@ -366,10 +339,8 @@ class Coordinator:
             raise RuntimeError(
                 f"{self.describe(task)} failed in a worker process: "
                 f"{event.error}"
-            )
-        self.stats["retries"] += 1
-        if self._obs is not None:
-            self._obs.transport_retry()
+            ) from event.cause
+        self._count_retry(0, None)
         self._requeue_failed(task, event.error)
 
     def _requeue_failed(self, task: ShardTask, error: str) -> None:
@@ -390,7 +361,6 @@ class Coordinator:
             if lease.deadline <= now and lease.host in self._alive
         })
         for host in expired_hosts:
-            self.stats["heartbeat_misses"] += 1
             if self._obs is not None:
                 self._obs.heartbeat_miss()
             self._lose_host(host, "missed its lease deadline")
@@ -400,7 +370,6 @@ class Coordinator:
             return
         self._alive.discard(host)
         self._free.pop(host, None)
-        self.stats["hosts_lost"] += 1
         if self._obs is not None:
             self._obs.host_lost()
         for task_id in sorted(
@@ -409,7 +378,6 @@ class Coordinator:
             lease = self._leases.pop(task_id)
             if task_id in self._completed:
                 continue
-            self.stats["steals"] += 1
             if self._obs is not None:
                 self._obs.shard_stolen()
             self._queue.append(lease.task)
@@ -423,60 +391,3 @@ class Coordinator:
         # Depth = work accepted but not completed: queued + leased.
         if self._obs is not None:
             self._obs.queue_depth(len(self._queue) + len(self._leases))
-
-
-class RemoteClusterEngine(ClusterEngine):
-    """:class:`ClusterEngine` over remote worker agents.
-
-    ``hosts`` is a comma-separated string or sequence of ``HOST:PORT``
-    agent addresses (``python -m repro.cluster.agent`` on each machine);
-    tests pass an explicit ``transport`` (usually a
-    :class:`~repro.cluster.transport.FakeTransport`) instead.  Planning,
-    journaling and merging are inherited from the cluster engine, so run
-    ids, journals and fingerprints are bit-identical to every other
-    engine — only the execution substrate changes.
-    """
-
-    name = "remote"
-
-    def __init__(self, hosts: Union[str, Sequence[str], None] = None,
-                 transport: Optional[WorkerTransport] = None,
-                 shard_size: Optional[int] = None,
-                 cache_dir: Union[str, Path, None] = None,
-                 resume: bool = False,
-                 checkpoint_interval: Optional[int] = None,
-                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        super().__init__(
-            max_workers=None,
-            shard_size=shard_size,
-            cache_dir=cache_dir,
-            resume=resume,
-            checkpoint_interval=checkpoint_interval,
-        )
-        if transport is None:
-            addresses = parse_hosts(hosts)
-            if not addresses:
-                raise ValueError(
-                    "the remote engine needs --hosts HOST:PORT[,HOST:PORT...] "
-                    "or an explicit transport"
-                )
-            transport = TcpAgentTransport(addresses)
-        self.transport = transport
-        self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
-        self.max_attempts = max_attempts
-
-    def _transport(self) -> WorkerTransport:
-        if getattr(self.transport, "cache_dir", "") is None:
-            # In-memory transports execute with the coordinator's cache.
-            self.transport.cache_dir = str(self.cache_dir)  # type: ignore[attr-defined]
-        return self.transport
-
-    def _coordinator_options(self) -> Dict[str, Any]:
-        return {
-            "lease_timeout": self.lease_timeout,
-            "poll_interval": self.poll_interval,
-            "max_attempts": self.max_attempts,
-        }

@@ -1,4 +1,4 @@
-"""The pluggable worker-transport seam behind the cluster engines.
+"""The pluggable worker-transport seam behind the cluster engine.
 
 A :class:`WorkerTransport` is how a coordinator ships
 :class:`ShardTask`s to injection hosts and hears back about them.  The
@@ -7,12 +7,14 @@ contract is deliberately narrow — ``open`` / ``dispatch`` / ``warm`` /
 the lease/heartbeat/work-stealing loop in :mod:`repro.cluster.remote`
 is written once and runs unchanged over:
 
-* :class:`LocalPoolTransport` — today's ``ProcessPoolExecutor`` fan-out
-  (the default behind :class:`~repro.cluster.engine.ClusterEngine`),
-  where hosts are virtual lease slots on this machine and heartbeats
-  are synthesised (a local future cannot silently vanish);
+* :class:`LocalPoolTransport` — a ``ProcessPoolExecutor`` fan-out (the
+  default behind :class:`~repro.cluster.engine.ClusterEngine`, i.e.
+  ``--engine process``/``cluster``), where hosts are virtual lease slots
+  on this machine and heartbeats are synthesised (a local future cannot
+  silently vanish);
 * ``TcpAgentTransport`` (below) — line-JSON worker agents started with
-  ``python -m repro.cluster.agent`` on remote machines;
+  ``python -m repro.cluster.agent`` on remote machines (``--engine
+  remote``);
 * :class:`FakeTransport` — the in-memory chaos harness: a deterministic
   action schedule injects host deaths mid-shard, silent hangs, torn
   payloads, duplicate deliveries and transient failures, which is how
@@ -35,7 +37,7 @@ import select
 import socket
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.resilience.retry import RetryPolicy
@@ -213,12 +215,17 @@ class ShardResult:
 
 @dataclass(frozen=True)
 class ShardFailed:
-    """A host reports the shard raised; ``transient`` failures retry."""
+    """A host reports the shard raised; ``transient`` failures retry.
+
+    ``cause`` is the exception itself when the transport has it (a local
+    pool future, with the worker traceback), so a fatal failure chains.
+    """
 
     host: str
     task_id: str
     error: str
     transient: bool
+    cause: Optional[BaseException] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ class WorkerTransport(Protocol):
 
 
 # ----------------------------------------------------------------------
-# LocalPoolTransport — today's process pool behind the seam
+# LocalPoolTransport — the local process pool behind the seam
 # ----------------------------------------------------------------------
 class LocalPoolTransport:
     """Process-pool workers on this machine, presented as lease slots.
@@ -296,7 +303,8 @@ class LocalPoolTransport:
         self._futures: Dict[Any, Tuple[str, ShardTask]] = {}
 
     def open(self) -> List[str]:
-        count = self.max_workers or os.cpu_count() or 1
+        count = (self.max_workers if self.max_workers is not None
+                 else os.cpu_count() or 1)
         self._pool = ProcessPoolExecutor(max_workers=count)
         self._futures = {}
         return [f"local/{slot}" for slot in range(count)]
@@ -333,7 +341,8 @@ class LocalPoolTransport:
                 payload = future.result()
             except Exception as failure:
                 events.append(ShardFailed(host, task.task_id,
-                                          repr(failure), transient=False))
+                                          repr(failure), transient=False,
+                                          cause=failure))
             else:
                 events.append(ShardResult(host, task.task_id, payload))
         for host, task in self._futures.values():

@@ -20,7 +20,12 @@ Everything in this package is exempt from the determinism lint (it reads
 clocks by design) and therefore must never feed the identity path: run
 ids, journal contents and outcome fingerprints are bit-identical with
 observability on or off, which ``tests/obs/test_identity_differential.py``
-proves for all four engines.
+proves for every engine.
+
+The registry is also the one place run bookkeeping is counted: shards
+executed and reused, golden builds, cache traffic by role, and the
+coordinator's steals, heartbeat misses, duplicates, torn results,
+retries and lost hosts.  Engines keep no counters of their own.
 """
 
 from __future__ import annotations

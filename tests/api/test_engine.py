@@ -1,19 +1,16 @@
-"""Execution engines: serial/process equivalence and progress reporting."""
+"""Execution engines: serial/process/checkpoint equivalence, progress, failures."""
 
 import pytest
 
 from repro.api import (
-    CampaignSpec,
-    CheckpointEngine,
-    ProcessPoolEngine,
     ResultStore,
     SerialEngine,
     config_axis,
     make_engine,
     sweep,
 )
+from repro.cluster import ClusterEngine
 from repro.uarch.config import MicroarchConfig
-from repro.uarch.structures import TargetStructure
 
 
 def tiny_sweep():
@@ -66,7 +63,8 @@ def test_serial_engine_runs_in_order_with_progress():
 def test_process_engine_matches_serial_bit_for_bit(tmp_path):
     specs = tiny_sweep()
     serial = SerialEngine().run(specs)
-    process = ProcessPoolEngine(max_workers=2).run(
+    process = make_engine("process", max_workers=2,
+                          cache_dir=str(tmp_path / "cache")).run(
         specs, store=ResultStore(tmp_path / "store")
     )
     assert len(process) == len(serial)
@@ -78,15 +76,38 @@ def test_process_engine_persists_to_store(tmp_path):
     store = ResultStore(tmp_path / "store")
     specs = tiny_sweep()
     events = []
-    ProcessPoolEngine(max_workers=1).run(
+    make_engine("process", max_workers=1, cache_dir=str(tmp_path / "cache")).run(
         specs, store=store, progress=lambda done, total: events.append((done, total))
     )
     assert sorted(store.run_ids()) == sorted(spec.run_id() for spec in specs)
-    assert events[-1] == (2, 2)
+    # Progress counts shards, and the last report says they all finished.
+    done, total = events[-1]
+    assert done == total >= len(specs)
 
 
-def test_process_engine_empty_batch():
-    assert ProcessPoolEngine().run([]) == []
+def _failing_shard_worker(*args, **kwargs):
+    # Module-level so the pool can pickle it by reference.
+    raise ValueError("injected shard failure")
+
+
+def test_process_engine_failure_chains_the_worker_exception(tmp_path,
+                                                             monkeypatch):
+    """A worker exception surfaces chained, naming the campaign's run id.
+
+    The shard worker is patched in the parent; the fork-started pool
+    children inherit the patched module.
+    """
+    import repro.cluster.engine as cluster_engine
+
+    monkeypatch.setattr(cluster_engine, "_run_shard_worker",
+                        _failing_shard_worker)
+    spec = tiny_sweep()[0]
+    engine = make_engine("process", max_workers=1, cache_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="failed in a worker") as failure:
+        engine.run([spec])
+    assert spec.run_id() in str(failure.value)
+    assert isinstance(failure.value.__cause__, ValueError)
+    assert "injected shard failure" in str(failure.value.__cause__)
 
 
 def test_serial_engine_honors_store_with_injected_session(tmp_path):
@@ -102,13 +123,26 @@ def test_serial_engine_honors_store_with_injected_session(tmp_path):
 
 
 def test_make_engine():
-    assert isinstance(make_engine("serial"), SerialEngine)
-    assert isinstance(make_engine("process", max_workers=3), ProcessPoolEngine)
+    serial = make_engine("serial")
+    assert isinstance(serial, SerialEngine) and not serial.checkpointing
+    # process is an alias of cluster: the sharded engine over the local pool.
+    process = make_engine("process", max_workers=3)
+    assert isinstance(process, ClusterEngine)
+    assert process.max_workers == 3 and process.transport is None
     checkpoint = make_engine("checkpoint", checkpoint_interval=50)
-    assert isinstance(checkpoint, CheckpointEngine)
+    assert isinstance(checkpoint, SerialEngine) and checkpoint.checkpointing
     assert checkpoint.checkpoint_interval == 50
     with pytest.raises(ValueError):
         make_engine("distributed")
+    # A worker count the engine would ignore, or one that cannot size a
+    # pool, is refused rather than dropped or read as "every core".
+    for name in ("serial", "checkpoint"):
+        with pytest.raises(ValueError, match="workers"):
+            make_engine(name, max_workers=2)
+    with pytest.raises(ValueError, match=">= 1"):
+        make_engine("process", max_workers=0)
+    with pytest.raises(ValueError, match=">= 1"):
+        make_engine("cluster", max_workers=0)
     # A checkpoint interval with a non-checkpoint engine is a user error,
     # not something to accept and silently discard — as is a nonsensical
     # interval value.
@@ -118,33 +152,10 @@ def test_make_engine():
         make_engine("checkpoint", checkpoint_interval=0)
 
 
-def test_process_engine_worker_failure_surfaces_and_does_not_hang():
-    """A worker raising mid-campaign must raise in the parent, promptly.
-
-    The spec passes validation but names a workload no worker can resolve,
-    so the failure happens inside the worker process itself.
-    """
-    bad = CampaignSpec(workload="no-such-workload", faults=10)
-    specs = tiny_sweep()[:1] + [bad] + tiny_sweep()[1:]
-    with pytest.raises(RuntimeError, match="failed in a worker"):
-        ProcessPoolEngine(max_workers=2).run(specs)
-
-
-def test_process_engine_failure_chains_the_worker_exception():
-    bad = CampaignSpec(workload="no-such-workload", faults=10)
-    try:
-        ProcessPoolEngine(max_workers=1).run([bad])
-    except RuntimeError as failure:
-        assert failure.__cause__ is not None
-        assert bad.run_id() in str(failure)
-    else:
-        pytest.fail("worker failure was silently dropped")
-
-
 def test_checkpoint_engine_matches_serial_bit_for_bit(tmp_path):
     specs = tiny_sweep()
     serial = SerialEngine().run(specs)
-    checkpoint = CheckpointEngine().run(
+    checkpoint = make_engine("checkpoint").run(
         specs, store=ResultStore(tmp_path / "store")
     )
     assert len(checkpoint) == len(serial)
@@ -156,7 +167,7 @@ def test_checkpoint_engine_configures_injected_session_for_the_run_only():
     from repro.api import Session
 
     session = Session()
-    engine = CheckpointEngine(session, checkpoint_interval=64)
+    engine = SerialEngine(session, checkpointing=True, checkpoint_interval=64)
     engine.run(tiny_sweep()[:1])
     # The run itself used checkpointing...
     golden = next(iter(session._goldens.values()))

@@ -20,8 +20,8 @@ import pytest
 
 import repro.cluster.transport as transport_module
 from repro.api import CampaignSpec, SerialEngine
+from repro.cluster import ClusterEngine
 from repro.cluster.agent import AgentServer
-from repro.cluster.remote import RemoteClusterEngine
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
     HandshakeError,
@@ -186,17 +186,31 @@ def test_coordinator_rejects_mismatched_simulator(agent, monkeypatch):
         transport.open()
 
 
+class RecordingTransport(TcpAgentTransport):
+    """A TCP transport that records every (host, warm key) it warms."""
+
+    def __init__(self, hosts):
+        super().__init__(hosts)
+        self.warms = []
+
+    def warm(self, host, task):
+        self.warms.append((host, task.warm_key))
+        super().warm(host, task)
+
+
 def test_remote_engine_over_real_sockets_matches_serial(agent, tmp_path):
     spec = CampaignSpec(
         workload="sha", structure=TargetStructure.RF, config=small_config(),
         scale=1, faults=12, seed=3, method="comprehensive",
     )
     reference = SerialEngine().run([spec])[0].classification_fingerprint()
-    engine = RemoteClusterEngine(
-        transport=TcpAgentTransport([f"127.0.0.1:{agent.address[1]}"]),
+    transport = RecordingTransport([f"127.0.0.1:{agent.address[1]}"])
+    engine = ClusterEngine(
+        transport=transport,
         shard_size=5, cache_dir=tmp_path / "coordinator-cache",
     )
     outcome = engine.run([spec])[0]
     assert outcome.classification_fingerprint() == reference
-    assert engine.stats["host_warms"] == 1
-    assert engine.stats["hosts_lost"] == 0
+    # One agent, warmed once for the campaign's one golden identity; with
+    # a single host, finishing at all means it was never lost.
+    assert len(transport.warms) == 1

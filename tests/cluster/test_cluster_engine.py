@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.api import CampaignSpec, ResultStore, make_engine
 from repro.cluster import ClusterEngine, JournalError, RunJournal
 from repro.uarch.structures import TargetStructure
@@ -12,6 +13,20 @@ def tiny_spec(**overrides):
                    faults=30, scale=1, seed=0)
     payload.update(overrides)
     return CampaignSpec(**payload)
+
+
+def observed_run(engine, specs, **kwargs):
+    """Run ``engine`` under observability; (outcomes, metrics registry)."""
+    with obs.observe() as ctx:
+        outcomes = engine.run(specs, **kwargs)
+    return outcomes, ctx.registry
+
+
+def shard_counts(registry):
+    """(executed, reused, total) shards of one observed run."""
+    executed = registry.total("repro_shards_executed_total")
+    reused = registry.total("repro_shards_reused_total")
+    return executed, reused, executed + reused
 
 
 def test_make_engine_builds_cluster(tmp_path):
@@ -28,7 +43,7 @@ def test_make_engine_rejects_cluster_flags_elsewhere(tmp_path):
     with pytest.raises(ValueError, match="shard_size"):
         make_engine("serial", shard_size=10)
     with pytest.raises(ValueError, match="cache_dir"):
-        make_engine("process", cache_dir=str(tmp_path))
+        make_engine("serial", cache_dir=str(tmp_path))
     with pytest.raises(ValueError, match="resume"):
         make_engine("checkpoint", resume=True)
     with pytest.raises(ValueError, match="shard_size"):
@@ -44,11 +59,11 @@ def test_store_short_circuits_a_stored_campaign(tmp_path):
     store = ResultStore(tmp_path / "store")
     engine = ClusterEngine(max_workers=1, shard_size=10,
                            cache_dir=tmp_path / "cache")
-    first = engine.run([spec], store=store)[0]
-    assert engine.stats["campaigns_from_store"] == 0
-    again = engine.run([spec], store=store)[0]
-    assert engine.stats["campaigns_from_store"] == 1
-    assert engine.stats["shards_executed"] == 0
+    [first], metrics = observed_run(engine, [spec], store=store)
+    assert metrics.total("repro_campaigns_from_store_total") == 0
+    [again], metrics = observed_run(engine, [spec], store=store)
+    assert metrics.total("repro_campaigns_from_store_total") == 1
+    assert metrics.total("repro_shards_executed_total") == 0
     assert again.to_dict() == first.to_dict()
 
 
@@ -57,13 +72,16 @@ def test_progress_counts_shards_and_finishes_complete(tmp_path):
     events = []
     engine = ClusterEngine(max_workers=2, shard_size=5,
                            cache_dir=tmp_path / "cache")
-    engine.run([spec], progress=lambda done, total: events.append((done, total)))
+    _, metrics = observed_run(
+        engine, [spec],
+        progress=lambda done, total: events.append((done, total)))
+    shards = shard_counts(metrics)[2]
     assert events, "progress hook never fired"
     totals = {total for _, total in events}
-    assert totals == {engine.stats["shards_total"]}
+    assert totals == {shards}
     dones = [done for done, _ in events]
     assert dones == sorted(dones)
-    assert events[-1] == (engine.stats["shards_total"], engine.stats["shards_total"])
+    assert events[-1] == (shards, shards)
 
 
 def test_worker_failure_surfaces_and_cancels(tmp_path, monkeypatch):
@@ -106,8 +124,8 @@ def test_rerun_without_resume_preserves_a_killed_runs_shards(tmp_path):
     spec = tiny_spec(seed=6)
     cache = tmp_path / "cache"
     first = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache)
-    outcome = first.run([spec])[0]
-    shards = first.stats["shards_total"]
+    [outcome], metrics = observed_run(first, [spec])
+    shards = shard_counts(metrics)[2]
 
     # Fake a kill: the merged marker never landed and one shard is missing.
     path = journal_path(first.journal_dir, spec.run_id())
@@ -116,9 +134,8 @@ def test_rerun_without_resume_preserves_a_killed_runs_shards(tmp_path):
     path.write_text("".join(lines[:-1]))
 
     rerun = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache)
-    again = rerun.run([spec])[0]
-    assert rerun.stats["shards_reused"] == shards - 1
-    assert rerun.stats["shards_executed"] == 1
+    [again], metrics = observed_run(rerun, [spec])
+    assert shard_counts(metrics)[:2] == (1, shards - 1)
     assert again.classification_fingerprint() == outcome.classification_fingerprint()
 
 
@@ -128,9 +145,10 @@ def test_rerun_after_a_finished_run_starts_fresh(tmp_path):
     cache = tmp_path / "cache"
     ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache).run([spec])
     rerun = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache)
-    rerun.run([spec])
-    assert rerun.stats["shards_reused"] == 0
-    assert rerun.stats["shards_executed"] == rerun.stats["shards_total"]
+    _, metrics = observed_run(rerun, [spec])
+    executed, reused, _ = shard_counts(metrics)
+    assert reused == 0
+    assert executed > 0
 
 
 def test_resume_without_journal_raises(tmp_path):
@@ -147,9 +165,10 @@ def test_resume_of_a_complete_journal_reuses_everything(tmp_path):
     outcome = first.run([spec])[0]
     resumed = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache,
                             resume=True)
-    again = resumed.run([spec])[0]
-    assert resumed.stats["shards_executed"] == 0
-    assert resumed.stats["shards_reused"] == resumed.stats["shards_total"] > 0
+    [again], metrics = observed_run(resumed, [spec])
+    executed, reused, total = shard_counts(metrics)
+    assert executed == 0
+    assert reused == total > 0
     assert again.classification_fingerprint() == outcome.classification_fingerprint()
 
 
@@ -158,17 +177,15 @@ def test_checkpoint_interval_is_part_of_artifact_identity(tmp_path):
     golden captured at a different spacing."""
     spec = tiny_spec(seed=5)
     cache = tmp_path / "cache"
-    coarse = ClusterEngine(max_workers=1, cache_dir=cache, checkpoint_interval=48)
-    coarse.run([spec])
-    assert coarse.stats["golden_builds"] == 1
+    def golden_builds(interval):
+        engine = ClusterEngine(max_workers=1, cache_dir=cache,
+                               checkpoint_interval=interval)
+        _, metrics = observed_run(engine, [spec])
+        return metrics.total("repro_golden_builds_total")
 
-    fine = ClusterEngine(max_workers=1, cache_dir=cache, checkpoint_interval=16)
-    fine.run([spec])
-    assert fine.stats["golden_builds"] == 1, "different interval, new artifact"
-
-    warm = ClusterEngine(max_workers=1, cache_dir=cache, checkpoint_interval=16)
-    warm.run([spec])
-    assert warm.stats["golden_builds"] == 0
+    assert golden_builds(48) == 1
+    assert golden_builds(16) == 1, "different interval, new artifact"
+    assert golden_builds(16) == 0
 
 
 def test_unknown_workload_fails_in_planning(tmp_path):

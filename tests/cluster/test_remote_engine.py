@@ -12,15 +12,23 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.api import CampaignSpec
 from repro.api.engine import ENGINES, make_engine
+from repro.cluster import ClusterEngine
 from repro.cluster.remote import (
     Coordinator,
-    RemoteClusterEngine,
     parse_hosts,
     validate_shard_payload,
 )
 from repro.cluster.shards import FaultShard
-from repro.cluster.transport import FakeTransport, ShardTask
+from repro.cluster.transport import FakeTransport, ShardTask, TcpAgentTransport
+from repro.testing import small_config
+from repro.uarch.structures import TargetStructure
+
+#: The coordinator's obs counters, by the middle of their metric names.
+REMOTE_COUNTERS = ("shard_steals", "heartbeat_misses", "duplicate_results",
+                   "torn_results", "transport_retries", "hosts_lost",
+                   "host_shards")
 
 
 def make_world(count: int):
@@ -50,9 +58,19 @@ def synthetic_executor(task: ShardTask) -> dict:
     }
 
 
+def remote_counts(registry) -> dict:
+    """The coordinator's counters in ``registry``, by short name."""
+    return {name: registry.total(f"repro_remote_{name}_total")
+            for name in REMOTE_COUNTERS}
+
+
 def run_chaos(count: int, workers: int, schedule, *,
               lease_timeout: float = 3.0, max_attempts: int = 5,
               protect_last_host: bool = True):
+    """Drive ``count`` synthetic shards through chaos, observed.
+
+    Returns ``(metrics registry, delivered, sleeps, tasks)``.
+    """
     tasks, lookup = make_world(count)
     transport = FakeTransport(workers=workers, schedule=schedule,
                               executor=synthetic_executor,
@@ -64,69 +82,75 @@ def run_chaos(count: int, workers: int, schedule, *,
         describe=lambda task: f"task {task.task_id}",
     )
     delivered: list = []
-    coordinator.run(
-        tasks,
-        lambda task, payload: delivered.append((task.task_id, payload)),
-        validate=lambda task, payload: validate_shard_payload(
-            lookup[task.task_id], payload),
-    )
-    return coordinator, delivered, sleeps, tasks
+    with obs.observe() as ctx:
+        coordinator.run(
+            tasks,
+            lambda task, payload: delivered.append((task.task_id, payload)),
+            validate=lambda task, payload: validate_shard_payload(
+                lookup[task.task_id], payload),
+        )
+    return ctx.registry, delivered, sleeps, tasks
 
 
 def test_clean_run_completes_everything_exactly_once():
-    coordinator, delivered, sleeps, tasks = run_chaos(6, 3, [])
+    metrics, delivered, sleeps, tasks = run_chaos(6, 3, [])
     assert sorted(tid for tid, _ in delivered) == sorted(
         task.task_id for task in tasks)
-    assert coordinator.stats["completed"] == 6
-    assert coordinator.stats["steals"] == 0
-    assert coordinator.stats["hosts_lost"] == 0
-    assert coordinator.stats["duplicates"] == 0
+    counts = remote_counts(metrics)
+    assert counts["host_shards"] == 6
+    assert counts["shard_steals"] == 0
+    assert counts["hosts_lost"] == 0
+    assert counts["duplicate_results"] == 0
     assert sleeps == []
 
 
 def test_host_death_mid_shard_steals_the_lease():
-    coordinator, delivered, _, tasks = run_chaos(4, 3, ["die"])
+    metrics, delivered, _, tasks = run_chaos(4, 3, ["die"])
     assert sorted(tid for tid, _ in delivered) == sorted(
         task.task_id for task in tasks)
-    assert coordinator.stats["hosts_lost"] == 1
-    assert coordinator.stats["steals"] == 1
+    counts = remote_counts(metrics)
+    assert counts["hosts_lost"] == 1
+    assert counts["shard_steals"] == 1
     # The lost shard was re-executed elsewhere, not dropped.
-    assert coordinator.stats["completed"] == 4
+    assert counts["host_shards"] == 4
 
 
 def test_silent_host_misses_heartbeat_and_late_result_is_dropped():
     # Host 0 goes silent for 8 ticks (lease expires at 3); host 1 is
     # merely slow and must NOT be stolen from; the stale delivery at
     # tick 8 arrives after the steal completed the shard elsewhere.
-    coordinator, delivered, _, tasks = run_chaos(
+    metrics, delivered, _, tasks = run_chaos(
         3, 3, ["late:8", "slow:12", "run"])
     assert sorted(tid for tid, _ in delivered) == sorted(
         task.task_id for task in tasks)
-    assert coordinator.stats["heartbeat_misses"] == 1
-    assert coordinator.stats["steals"] == 1
-    assert coordinator.stats["duplicates"] == 1
-    assert coordinator.stats["completed"] == 3
+    counts = remote_counts(metrics)
+    assert counts["heartbeat_misses"] == 1
+    assert counts["shard_steals"] == 1
+    assert counts["duplicate_results"] == 1
+    assert counts["host_shards"] == 3
 
 
 def test_torn_result_is_requeued_not_journaled():
-    coordinator, delivered, _, _ = run_chaos(1, 1, ["torn"])
-    assert coordinator.stats["torn_results"] == 1
-    assert coordinator.stats["completed"] == 1
+    metrics, delivered, _, _ = run_chaos(1, 1, ["torn"])
+    counts = remote_counts(metrics)
+    assert counts["torn_results"] == 1
+    assert counts["host_shards"] == 1
     # Only the intact payload reached on_result.
     [(task_id, payload)] = delivered
     assert len(payload["outcomes"]) == 1
 
 
 def test_duplicate_delivery_is_counted_and_dropped():
-    coordinator, delivered, _, _ = run_chaos(2, 2, ["duplicate"])
-    assert coordinator.stats["duplicates"] == 1
+    metrics, delivered, _, _ = run_chaos(2, 2, ["duplicate"])
+    assert remote_counts(metrics)["duplicate_results"] == 1
     assert len(delivered) == 2
 
 
 def test_transient_failure_retries_with_backoff():
-    coordinator, delivered, sleeps, _ = run_chaos(1, 1, ["fail", "fail"])
-    assert coordinator.stats["retries"] == 2
-    assert coordinator.stats["completed"] == 1
+    metrics, delivered, sleeps, _ = run_chaos(1, 1, ["fail", "fail"])
+    counts = remote_counts(metrics)
+    assert counts["transport_retries"] == 2
+    assert counts["host_shards"] == 1
     assert len(sleeps) == 2
     assert sleeps[1] > sleeps[0], "backoff must grow"
 
@@ -152,31 +176,20 @@ def test_hosts_are_warmed_once_per_golden_identity():
     coordinator = Coordinator(transport, poll_interval=0.0,
                               sleep=lambda _seconds: None)
     coordinator.run(tasks, lambda task, payload: None)
-    # 8 shards share one warm key: each host warms at most once.
-    assert len(transport.warms) == len(set(transport.warms))
+    # 8 shards share one warm key: each of the 2 hosts warms exactly once.
+    assert len(transport.warms) == len(set(transport.warms)) == 2
     assert {key for _, key in transport.warms} == {"golden-key"}
-    assert coordinator.stats["warms"] == len(transport.warms)
 
 
 def test_coordinator_reports_chaos_to_obs():
-    with obs.observe() as ctx:
-        run_chaos(3, 3, ["late:8", "duplicate", "die"])
-        totals = {
-            name: ctx.registry.total(name)
-            for name in (
-                "repro_remote_shard_steals_total",
-                "repro_remote_heartbeat_misses_total",
-                "repro_remote_duplicate_results_total",
-                "repro_remote_hosts_lost_total",
-                "repro_remote_host_shards_total",
-            )
-        }
-    assert totals["repro_remote_shard_steals_total"] >= 1
-    assert totals["repro_remote_heartbeat_misses_total"] >= 1
-    assert totals["repro_remote_duplicate_results_total"] >= 1
-    assert totals["repro_remote_hosts_lost_total"] >= 1
-    assert totals["repro_remote_host_shards_total"] == 3
-    assert ctx.registry.value("repro_pool_queue_depth") == 0.0
+    metrics, _, _, _ = run_chaos(3, 3, ["late:8", "duplicate", "die"])
+    counts = remote_counts(metrics)
+    assert counts["shard_steals"] >= 1
+    assert counts["heartbeat_misses"] >= 1
+    assert counts["duplicate_results"] >= 1
+    assert counts["hosts_lost"] >= 1
+    assert counts["host_shards"] == 3
+    assert metrics.value("repro_pool_queue_depth") == 0.0
 
 
 def test_rejects_duplicate_task_ids():
@@ -223,19 +236,24 @@ def test_validate_shard_payload_catalogue():
 def test_remote_is_a_registered_engine():
     assert "remote" in ENGINES
     engine = make_engine("remote", hosts="127.0.0.1:7651")
-    assert isinstance(engine, RemoteClusterEngine)
-    assert engine.name == "remote"
+    assert isinstance(engine, ClusterEngine)
+    assert isinstance(engine.transport, TcpAgentTransport)
+    assert engine.transport.hosts == ["127.0.0.1:7651"]
+    assert engine.progress_unit == "shards"
 
 
 def test_remote_engine_requires_hosts_or_transport():
     with pytest.raises(ValueError, match="--hosts"):
-        RemoteClusterEngine()
-    engine = RemoteClusterEngine(transport=FakeTransport(workers=1))
+        make_engine("remote")
+    engine = ClusterEngine(transport=FakeTransport(workers=1))
     assert engine.transport is not None
+    # The pool size belongs to the default local transport only.
+    with pytest.raises(ValueError, match="explicit transport"):
+        ClusterEngine(max_workers=2, transport=FakeTransport(workers=1))
 
 
 def test_make_engine_rejects_misplaced_flags():
-    with pytest.raises(ValueError, match="hosts only applies"):
+    with pytest.raises(ValueError, match="hosts does not apply"):
         make_engine("serial", hosts="127.0.0.1:7651")
     with pytest.raises(ValueError, match="workers does not apply"):
         make_engine("remote", hosts="127.0.0.1:7651", max_workers=4)
@@ -255,9 +273,11 @@ def test_parse_hosts_formats():
 
 
 def test_remote_engine_cache_dir_flows_into_transport(tmp_path):
-    transport = FakeTransport(workers=1, executor=synthetic_executor)
-    engine = RemoteClusterEngine(transport=transport,
-                                 cache_dir=tmp_path / "cache")
+    transport = FakeTransport(workers=1)
+    engine = ClusterEngine(transport=transport, cache_dir=tmp_path / "cache")
     assert transport.cache_dir is None
-    engine._transport()
+    spec = CampaignSpec(workload="sha", structure=TargetStructure.RF,
+                        config=small_config(), scale=1, faults=6, seed=0,
+                        method="comprehensive")
+    engine.run([spec])
     assert transport.cache_dir == str(tmp_path / "cache")

@@ -19,6 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec
 from repro.cluster.artifacts import ArtifactCache
@@ -68,15 +69,16 @@ def test_every_shard_delivered_exactly_once_under_chaos(
         max_attempts=100, sleep=lambda _seconds: None,
     )
     journal: list = []
-    coordinator.run(
-        tasks,
-        lambda task, payload: journal.append(task.task_id),
-        validate=lambda task, payload: validate_shard_payload(
-            lookup[task.task_id], payload),
-    )
+    with obs.observe() as ctx:
+        coordinator.run(
+            tasks,
+            lambda task, payload: journal.append(task.task_id),
+            validate=lambda task, payload: validate_shard_payload(
+                lookup[task.task_id], payload),
+        )
     assert sorted(journal) == sorted(task.task_id for task in tasks), (
         "every task must reach the journal exactly once")
-    assert coordinator.stats["completed"] == count
+    assert ctx.registry.total("repro_remote_host_shards_total") == count
 
 
 @pytest.fixture(scope="module")

@@ -165,6 +165,7 @@ def test_local_transport_failure_is_not_transient(tmp_path):
     assert isinstance(failure, ShardFailed)
     assert not failure.transient
     assert "boom" in failure.error
+    assert isinstance(failure.cause, RuntimeError)
     transport.close()
 
 

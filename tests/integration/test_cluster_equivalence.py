@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import obs
 from repro.api import CampaignSpec, ResultStore, SerialEngine
 from repro.cluster import ClusterEngine, journal_path
-from repro.cluster.remote import RemoteClusterEngine
 from repro.cluster.transport import FakeTransport
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
@@ -61,6 +61,18 @@ def spec_of(combo: Combo) -> CampaignSpec:
     )
 
 
+def observed_run(engine, specs, **kwargs):
+    """Run ``engine`` under observability; (outcomes, metrics registry)."""
+    with obs.observe() as ctx:
+        outcomes = engine.run(specs, **kwargs)
+    return outcomes, ctx.registry
+
+
+def shards_total(metrics) -> float:
+    return (metrics.total("repro_shards_executed_total")
+            + metrics.total("repro_shards_reused_total"))
+
+
 @pytest.fixture(scope="module")
 def serial_outcomes():
     """One serial reference run per combo (goldens shared via the session)."""
@@ -76,13 +88,14 @@ def test_cluster_matches_serial_cold_and_warm(combo, serial_outcomes, tmp_path):
     engine = ClusterEngine(max_workers=combo.workers,
                            shard_size=combo.shard_size,
                            cache_dir=tmp_path / "cache")
-    cold = engine.run([spec])[0]
+    [cold], metrics = observed_run(engine, [spec])
     assert cold.classification_fingerprint() == reference
-    assert engine.stats["golden_builds"] >= 1
+    assert metrics.total("repro_golden_builds_total") >= 1
 
-    warm = engine.run([spec])[0]
+    [warm], metrics = observed_run(engine, [spec])
     assert warm.classification_fingerprint() == reference
-    assert engine.stats["golden_builds"] == 0, "warm cache must not rebuild"
+    assert metrics.total("repro_golden_builds_total") == 0, (
+        "warm cache must not rebuild")
 
 
 def test_resumed_run_is_bit_identical(tmp_path):
@@ -92,8 +105,10 @@ def test_resumed_run_is_bit_identical(tmp_path):
     store = ResultStore(tmp_path / "store")
     cache = tmp_path / "cache"
     engine = ClusterEngine(max_workers=2, shard_size=5, cache_dir=cache)
-    reference = engine.run([spec], store=store)[0].classification_fingerprint()
-    assert engine.stats["shards_total"] >= 4
+    [first], metrics = observed_run(engine, [spec], store=store)
+    reference = first.classification_fingerprint()
+    shards = shards_total(metrics)
+    assert shards >= 4
 
     # A killed run: the stored outcome never landed and the journal holds
     # only some shards, the last one torn mid-append.
@@ -106,10 +121,10 @@ def test_resumed_run_is_bit_identical(tmp_path):
 
     resumed = ClusterEngine(max_workers=2, shard_size=5, cache_dir=cache,
                             resume=True)
-    outcome = resumed.run([spec], store=store)[0]
+    [outcome], metrics = observed_run(resumed, [spec], store=store)
     assert outcome.classification_fingerprint() == reference
-    assert resumed.stats["shards_reused"] == 2
-    assert resumed.stats["shards_executed"] == resumed.stats["shards_total"] - 2
+    assert metrics.total("repro_shards_reused_total") == 2
+    assert metrics.total("repro_shards_executed_total") == shards - 2
     assert store.get(spec.run_id()).classification_fingerprint() == reference
 
 
@@ -122,12 +137,13 @@ def test_sweep_through_cluster_matches_serial(tmp_path):
     serial = SerialEngine().run(specs)
     engine = ClusterEngine(max_workers=2, shard_size=8,
                            cache_dir=tmp_path / "cache")
-    clustered = engine.run(specs, store=ResultStore(tmp_path / "store"))
+    clustered, metrics = observed_run(
+        engine, specs, store=ResultStore(tmp_path / "store"))
     assert len(clustered) == len(serial)
     for left, right in zip(serial, clustered):
         assert left.classification_fingerprint() == right.classification_fingerprint()
     # Both campaigns share one workload/config identity: one golden build.
-    assert engine.stats["golden_builds"] == 1
+    assert metrics.total("repro_golden_builds_total") == 1
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +151,7 @@ def test_sweep_through_cluster_matches_serial(tmp_path):
 # coordinator/lease/steal path, chaos included.
 # ----------------------------------------------------------------------
 def remote_engine(tmp_path, combo, schedule=(), workers=3, **kwargs):
-    return RemoteClusterEngine(
+    return ClusterEngine(
         transport=FakeTransport(workers=workers, schedule=list(schedule)),
         shard_size=combo.shard_size, cache_dir=tmp_path / "cache",
         lease_timeout=4.0, **kwargs,
@@ -155,14 +171,16 @@ def test_remote_matches_serial_cold_and_warm(combo, serial_outcomes, tmp_path):
     reference = serial_outcomes[combo.label].classification_fingerprint()
 
     engine = remote_engine(tmp_path, combo)
-    cold = engine.run([spec])[0]
+    [cold], metrics = observed_run(engine, [spec])
     assert cold.classification_fingerprint() == reference
-    assert engine.stats["golden_builds"] >= 1
-    assert engine.stats["host_warms"] >= 1, "hosts must warm their caches"
+    assert metrics.total("repro_golden_builds_total") >= 1
+    assert len(engine.transport.warms) >= 1, "hosts must warm their caches"
 
     warm = remote_engine(tmp_path, combo)
-    assert warm.run([spec])[0].classification_fingerprint() == reference
-    assert warm.stats["golden_builds"] == 0, "warm cache must not rebuild"
+    [again], metrics = observed_run(warm, [spec])
+    assert again.classification_fingerprint() == reference
+    assert metrics.total("repro_golden_builds_total") == 0, (
+        "warm cache must not rebuild")
 
 
 def test_remote_survives_host_deaths_bit_identically(serial_outcomes, tmp_path):
@@ -176,16 +194,16 @@ def test_remote_survives_host_deaths_bit_identically(serial_outcomes, tmp_path):
         tmp_path, combo,
         schedule=["die", "run", "die", "slow:3", "torn", "duplicate", "fail"],
     )
-    outcome = engine.run([spec])[0]
+    [outcome], metrics = observed_run(engine, [spec])
     assert outcome.classification_fingerprint() == reference
-    assert engine.stats["hosts_lost"] == 2
-    assert engine.stats["shard_steals"] >= 2
-    assert engine.stats["torn_results"] == 1
-    assert engine.stats["duplicate_results"] == 1
-    assert engine.stats["transport_retries"] >= 1
+    assert metrics.total("repro_remote_hosts_lost_total") == 2
+    assert metrics.total("repro_remote_shard_steals_total") >= 2
+    assert metrics.total("repro_remote_torn_results_total") == 1
+    assert metrics.total("repro_remote_duplicate_results_total") == 1
+    assert metrics.total("repro_remote_transport_retries_total") >= 1
 
     shard_ids = journaled_shard_ids(engine, spec)
-    assert len(shard_ids) == engine.stats["shards_total"]
+    assert len(shard_ids) == shards_total(metrics)
     assert len(shard_ids) == len(set(shard_ids)), (
         "a stolen or duplicated shard must never be journaled twice")
 
@@ -195,11 +213,11 @@ def test_remote_seeded_chaos_campaign_matches_serial(serial_outcomes, tmp_path):
     spec = spec_of(combo)
     schedule = FakeTransport.seeded_schedule(1234, 24)
     engine = remote_engine(tmp_path, combo, schedule=schedule, workers=4)
-    outcome = engine.run([spec])[0]
+    [outcome], metrics = observed_run(engine, [spec])
     assert (outcome.classification_fingerprint()
             == serial_outcomes[combo.label].classification_fingerprint())
     shard_ids = journaled_shard_ids(engine, spec)
-    assert len(shard_ids) == len(set(shard_ids)) == engine.stats["shards_total"]
+    assert len(shard_ids) == len(set(shard_ids)) == shards_total(metrics)
 
 
 def test_remote_resumes_torn_journal_bit_identically(tmp_path):
@@ -209,7 +227,9 @@ def test_remote_resumes_torn_journal_bit_identically(tmp_path):
     spec = spec_of(combo)
     store = ResultStore(tmp_path / "store")
     engine = remote_engine(tmp_path, combo)
-    reference = engine.run([spec], store=store)[0].classification_fingerprint()
+    [first], metrics = observed_run(engine, [spec], store=store)
+    reference = first.classification_fingerprint()
+    shards = shards_total(metrics)
 
     store.delete(spec.run_id())
     path = journal_path(engine.journal_dir, spec.run_id())
@@ -219,10 +239,10 @@ def test_remote_resumes_torn_journal_bit_identically(tmp_path):
     path.write_text("".join(survivors) + '{"kind":"shard","shard_id":"to')
 
     resumed = remote_engine(tmp_path, combo, schedule=["die"], resume=True)
-    outcome = resumed.run([spec], store=store)[0]
+    [outcome], metrics = observed_run(resumed, [spec], store=store)
     assert outcome.classification_fingerprint() == reference
-    assert resumed.stats["shards_reused"] == 2
-    assert resumed.stats["shards_executed"] == resumed.stats["shards_total"] - 2
+    assert metrics.total("repro_shards_reused_total") == 2
+    assert metrics.total("repro_shards_executed_total") == shards - 2
     assert store.get(spec.run_id()).classification_fingerprint() == reference
 
 
@@ -240,15 +260,15 @@ def test_remote_chaos_matches_serial_across_fault_models(
         fault_model=model, model_params=params,
     )
     reference = SerialEngine().run([spec])[0].classification_fingerprint()
-    engine = RemoteClusterEngine(
+    engine = ClusterEngine(
         transport=FakeTransport(workers=3, schedule=["die", "torn", "die"]),
         shard_size=6, cache_dir=tmp_path / "cache", lease_timeout=4.0,
     )
-    outcome = engine.run([spec])[0]
+    [outcome], metrics = observed_run(engine, [spec])
     assert outcome.classification_fingerprint() == reference
-    assert engine.stats["hosts_lost"] == 2
+    assert metrics.total("repro_remote_hosts_lost_total") == 2
     shard_ids = journaled_shard_ids(engine, spec)
-    assert len(shard_ids) == len(set(shard_ids)) == engine.stats["shards_total"]
+    assert len(shard_ids) == len(set(shard_ids)) == shards_total(metrics)
 
 
 def test_error_margin_derived_fault_list_matches(tmp_path):

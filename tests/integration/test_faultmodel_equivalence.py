@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.api import CampaignSpec, SerialEngine, make_engine
 from repro.cluster import ClusterEngine
 from repro.core.merlin import MerlinCampaign, MerlinConfig
@@ -139,10 +140,11 @@ def test_checkpoint_engine_matches_serial(model_name, params, serial_by_model):
     assert outcome.classification_fingerprint() == reference
 
 
-def test_process_engine_matches_serial_on_every_model(serial_by_model):
-    """One pool, all models: per-spec worker fan-out is model-agnostic."""
+def test_process_engine_matches_serial_on_every_model(serial_by_model, tmp_path):
+    """One pool, all models: sharded worker fan-out is model-agnostic."""
     specs = [spec_for(name, params) for name, params in MODEL_CASES]
-    outcomes = make_engine("process", max_workers=2).run(specs)
+    outcomes = make_engine("process", max_workers=2,
+                           cache_dir=str(tmp_path / "cache")).run(specs)
     for model_id, outcome in zip(MODEL_IDS, outcomes):
         assert outcome.classification_fingerprint() == (
             serial_by_model[model_id].classification_fingerprint()
@@ -154,12 +156,14 @@ def test_cluster_engine_matches_serial_on_every_model(serial_by_model, tmp_path)
     specs = [spec_for(name, params) for name, params in MODEL_CASES]
     engine = ClusterEngine(max_workers=2, shard_size=9,
                            cache_dir=tmp_path / "cache")
-    cold = engine.run(specs)
-    assert engine.stats["shards_executed"] > len(MODEL_CASES)
+    with obs.observe() as ctx:
+        cold = engine.run(specs)
+    assert ctx.registry.total("repro_shards_executed_total") > len(MODEL_CASES)
     warm_engine = ClusterEngine(max_workers=2, shard_size=9,
                                 cache_dir=tmp_path / "cache")
-    warm = warm_engine.run(specs)
-    assert warm_engine.stats["golden_builds"] == 0
+    with obs.observe() as ctx:
+        warm = warm_engine.run(specs)
+    assert ctx.registry.total("repro_golden_builds_total") == 0
     for model_id, cold_out, warm_out in zip(MODEL_IDS, cold, warm):
         reference = serial_by_model[model_id].classification_fingerprint()
         assert cold_out.classification_fingerprint() == reference, model_id

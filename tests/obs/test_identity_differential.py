@@ -31,11 +31,15 @@ def tiny_spec(**overrides):
 
 
 @pytest.mark.parametrize("engine_name", ["serial", "process", "checkpoint"])
-def test_engine_identity_is_unchanged_by_observability(engine_name):
+def test_engine_identity_is_unchanged_by_observability(engine_name, tmp_path):
     spec = tiny_spec(seed=11)
-    bare = make_engine(engine_name).run([spec])[0]
+    # The process engine journals and caches artifacts: keep them out of
+    # the working directory.
+    knobs = ({"cache_dir": str(tmp_path / "cache")}
+             if engine_name == "process" else {})
+    bare = make_engine(engine_name, **knobs).run([spec])[0]
     with obs.observe() as ctx:
-        observed = make_engine(engine_name).run([spec])[0]
+        observed = make_engine(engine_name, **knobs).run([spec])[0]
         ctx.finalize(run_id=spec.run_id())
 
     assert observed.run_id == bare.run_id == spec.run_id()
@@ -97,7 +101,7 @@ def test_cluster_identity_and_journal_are_unchanged_by_observability(tmp_path):
     # journal appends (header + one line per shard + merged marker).
     registry = ctx.registry
     assert registry.total("repro_injections_total") == FAULTS
-    executed = observed_engine.stats["shards_executed"]
+    executed = sum(record.get("kind") == "shard" for record in observed_records)
     assert registry.total("repro_shards_executed_total") == executed
     stats = registry.histogram_stats("repro_shard_wall_seconds")
     assert stats is not None and stats[1] == executed
@@ -111,8 +115,9 @@ def test_cluster_resume_counts_reused_shards_and_journal_repairs(tmp_path):
     spec = tiny_spec(seed=13)
     cache = tmp_path / "cache"
     first = ClusterEngine(max_workers=1, shard_size=10, cache_dir=cache)
-    outcome = first.run([spec])[0]
-    shards = first.stats["shards_total"]
+    with obs.observe() as first_ctx:
+        outcome = first.run([spec])[0]
+    shards = first_ctx.registry.total("repro_shards_executed_total")
 
     # Fake a kill: drop the merged marker and one shard, tear the tail.
     path = journal_path(first.journal_dir, spec.run_id())

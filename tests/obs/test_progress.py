@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api import CampaignSpec, Session, make_engine
 from repro.cluster import ClusterEngine, journal_path
 from repro.testing import ProgressRecorder, small_config
@@ -23,7 +24,14 @@ def tiny_spec(**overrides):
     return CampaignSpec(**payload)
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "process", "checkpoint"])
+def shards_of_observed_run(engine, specs, **kwargs) -> float:
+    """Run ``engine`` observed; the number of shards it executed."""
+    with obs.observe() as ctx:
+        engine.run(specs, **kwargs)
+    return ctx.registry.total("repro_shards_executed_total")
+
+
+@pytest.mark.parametrize("engine_name", ["serial", "checkpoint"])
 def test_per_campaign_engines_report_complete_monotonic_progress(engine_name):
     specs = [tiny_spec(seed=21), tiny_spec(seed=22)]
     recorder = ProgressRecorder()
@@ -31,13 +39,14 @@ def test_per_campaign_engines_report_complete_monotonic_progress(engine_name):
     recorder.assert_contract(expect_total=len(specs))
 
 
-def test_cluster_fresh_run_starts_at_zero_and_finishes_complete(tmp_path):
+@pytest.mark.parametrize("engine_name", ["process", "cluster"])
+def test_cluster_fresh_run_starts_at_zero_and_finishes_complete(
+        engine_name, tmp_path):
     spec = tiny_spec(seed=23)
     recorder = ProgressRecorder()
-    engine = ClusterEngine(max_workers=2, shard_size=5,
-                           cache_dir=tmp_path / "cache")
-    engine.run([spec], progress=recorder)
-    shards = engine.stats["shards_total"]
+    engine = make_engine(engine_name, max_workers=2, shard_size=5,
+                         cache_dir=str(tmp_path / "cache"))
+    shards = shards_of_observed_run(engine, [spec], progress=recorder)
     assert recorder.calls[0] == (0, shards), (
         "a fresh run must seed progress at 0/N, not jump in mid-count"
     )
@@ -48,8 +57,7 @@ def test_cluster_resume_seeds_progress_with_journaled_shards(tmp_path):
     spec = tiny_spec(seed=24)
     cache = tmp_path / "cache"
     first = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache)
-    first.run([spec])
-    shards = first.stats["shards_total"]
+    shards = shards_of_observed_run(first, [spec])
 
     # Fake a kill: no merged marker, one shard missing from the journal.
     path = journal_path(first.journal_dir, spec.run_id())

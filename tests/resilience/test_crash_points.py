@@ -8,10 +8,10 @@ engine on the real filesystem re-runs the campaign.  The recovered
 outcome — and the stored one — must be bit-identical (classification
 fingerprint) to an undisturbed serial run.
 
-The process-pool engine persists outcomes *inside* its worker processes;
-on fork-start platforms the workers inherit the parent's armed FaultFs,
-so the crash fires in the worker and surfaces through the future — the
-same harness applies.
+The process engine is the cluster engine over the local pool: on
+fork-start platforms its workers inherit the parent's armed FaultFs, and
+the store crash fires in the coordinator that persists merged outcomes —
+the same harness applies.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import pytest
 import repro.api.store  # noqa: F401  (registers store.save.* crash points)
 import repro.cluster.artifacts  # noqa: F401  (cache.store.*)
 import repro.cluster.journal  # noqa: F401  (journal.append.*)
+from repro import obs
 from repro.api import CampaignSpec, ResultStore, SerialEngine
 from repro.api.engine import make_engine
-from repro.cluster import ClusterEngine
-from repro.cluster.remote import RemoteClusterEngine
+from repro.cluster import ClusterEngine, RunJournal
 from repro.cluster.transport import FakeTransport
 from repro.resilience import FaultFs, SimulatedCrash, crash_points, use_fs
 from repro.testing import small_config
@@ -114,12 +114,14 @@ def test_cluster_recovery_reuses_durably_journaled_shards(reference, tmp_path):
     recovered = ClusterEngine(max_workers=2, shard_size=5,
                               cache_dir=tmp_path / "cache")
     recovery_store = ResultStore(tmp_path / "store")
-    outcome = recovered.run([spec()], store=recovery_store)[0]
+    with obs.observe() as ctx:
+        outcome = recovered.run([spec()], store=recovery_store)[0]
     assert outcome.classification_fingerprint() == reference
     # Hits 1-3 were the header and two shard appends, all fsynced whole.
-    assert recovered.stats["shards_reused"] == 2
-    assert recovered.stats["shards_executed"] == (
-        recovered.stats["shards_total"] - 2)
+    assert ctx.registry.total("repro_shards_reused_total") == 2
+    shards = len(RunJournal.load(recovered.journal_dir,
+                                 spec().run_id()).completed)
+    assert ctx.registry.total("repro_shards_executed_total") == shards - 2
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +136,7 @@ def test_cluster_recovery_reuses_durably_journaled_shards(reference, tmp_path):
 def test_remote_engine_recovers_via_fake_transport(
         point, hit, reference, tmp_path):
     def make():
-        return RemoteClusterEngine(
+        return ClusterEngine(
             transport=FakeTransport(workers=3, schedule=[]),
             shard_size=5, cache_dir=tmp_path / "cache", lease_timeout=4.0,
         )
@@ -158,19 +160,21 @@ def test_in_process_engines_recover_from_store_crashes(
 
 @pytest.mark.parametrize("point", ["store.save.pre_replace",
                                    "store.save.post_replace"])
-def test_process_engine_recovers_from_worker_store_crashes(
+def test_process_engine_recovers_from_store_crashes(
         point, reference, tmp_path):
-    """Pool workers fork the parent's FaultFs, so the armed crash fires
-    *inside the worker* and surfaces through the future — recovery must
-    still converge on the serial fingerprint."""
+    """Pool workers fork the parent's FaultFs while the armed store crash
+    fires in the coordinator — recovery must still converge on the serial
+    fingerprint."""
+    cache_dir = str(tmp_path / "cache")
     fs = FaultFs(crash_at=point)
     with use_fs(fs):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(SimulatedCrash):
-            make_engine("process", max_workers=2).run([spec()], store=store)
+            make_engine("process", max_workers=2, cache_dir=cache_dir).run(
+                [spec()], store=store)
     fs.reopen()
     recovery_store = ResultStore(tmp_path / "store")
-    outcome = make_engine("process", max_workers=2).run(
+    outcome = make_engine("process", max_workers=2, cache_dir=cache_dir).run(
         [spec()], store=recovery_store)[0]
     assert outcome.classification_fingerprint() == reference
     assert recovery_store.get(

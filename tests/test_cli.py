@@ -91,10 +91,19 @@ def test_parser_requires_command():
         cli.main([])
 
 
-def test_cluster_flags_rejected_for_other_engines():
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--workload", "sha", "--faults", "10", "--scale", "1",
-                  "--engine", "serial", "--resume"])
+@pytest.mark.parametrize("flags", [
+    ["--engine", "serial", "--resume"],
+    # A worker count the engine would ignore, or would read as "every core".
+    ["--engine", "serial", "--workers", "2"],
+    ["--engine", "checkpoint", "--workers", "2"],
+    ["--engine", "cluster", "--workers", "0"],
+], ids=lambda flags: "-".join(flag.lstrip("-") for flag in flags))
+def test_cluster_flags_rejected_for_other_engines(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--workload", "sha", "--faults", "10", "--scale", "1"]
+                 + flags)
+    assert exit_info.value.code == 2
+    assert flags[2].lstrip("-") in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +139,31 @@ def test_run_cluster_engine_and_resume(tmp_path, capsys):
     reference["merlin"].pop("wall_clock_seconds")
     resumed["merlin"].pop("wall_clock_seconds")
     assert resumed == reference
+
+
+def test_resume_reports_journaled_and_executed_shards(tmp_path, capsys):
+    import json
+
+    from repro.cluster import journal_path
+
+    cache = str(tmp_path / "cache")
+    assert cli.main([
+        "run", "--workload", "sha", "--structure", "RF", "--faults", "40",
+        "--scale", "1", "--method", "comprehensive", "--engine", "process",
+        "--workers", "1", "--shard-size", "9", "--cache-dir", cache,
+        "--json",
+    ]) == 0
+    run_id = json.loads(capsys.readouterr().out)["run_id"]
+    path = journal_path(tmp_path / "cache" / "journals", run_id)
+    shards = sum(json.loads(line).get("kind") == "shard"
+                 for line in path.read_text().splitlines())
+    path.write_text("".join(path.read_text().splitlines(True)[:2]))
+
+    assert cli.main(["resume", run_id, "--cache-dir", cache]) == 0
+    err = capsys.readouterr().err
+    assert f"{shards}/{shards} shards" in err
+    assert (f"resumed {run_id}: 1 shards from the journal, "
+            f"{shards - 1} executed") in err
 
 
 def test_resume_without_journal_fails_with_one_line(tmp_path, capsys):
