@@ -11,13 +11,13 @@ timeline capture for the checkpointed leg.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from conftest import CHECKPOINT_BENCH_ITERATIONS
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
+from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, shared_fault_list, small_config
 from repro.uarch.structures import TargetStructure
 
@@ -87,9 +87,9 @@ def test_checkpoint_campaign_speedup():
           f"(cold {cold_seconds:.1f}s, checkpointed {warm_seconds:.1f}s)")
 
     # Shared CI runners are too noisy for a hard wall-clock gate; the
-    # workflow sets CHECKPOINT_BENCH_RELAXED=1 there, while local and
-    # driver runs keep enforcing the floor.
-    if os.environ.get("CHECKPOINT_BENCH_RELAXED"):
+    # workflow sets REPRO_BENCH_RELAXED=1 there, while local runs keep
+    # enforcing the floor.
+    if gate_relaxed():
         return
     assert speedup >= REQUIRED_SPEEDUP, (
         f"checkpoint engine speedup {speedup:.2f}x below the "

@@ -10,14 +10,13 @@ Windowed models re-apply their flips at up to every cycle of the window,
 so some throughput cost is expected; the gate only guards against the
 model layer making injection *pathologically* slower (each model must keep
 at least ``MIN_RELATIVE_THROUGHPUT`` of the single-bit rate).  On noisy
-shared runners set ``FAULTMODEL_BENCH_RELAXED=1`` to record without
-enforcing, mirroring the other benchmark gates.
+shared runners set ``REPRO_BENCH_RELAXED=1`` to record without
+enforcing, like every other benchmark gate.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from repro.faults.models import (
     StuckAt1,
 )
 from repro.faults.sampling import generate_fault_list
+from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, small_config
 from repro.uarch.structures import TargetStructure, structure_geometry
 
@@ -86,11 +86,11 @@ def test_faultmodel_injection_throughput():
         "baseline_model": rows[0]["model"],
         "models": rows,
         "relative_throughput_floor": MIN_RELATIVE_THROUGHPUT,
-        "enforced": not bool(os.environ.get("FAULTMODEL_BENCH_RELAXED")),
+        "enforced": not gate_relaxed(),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    if os.environ.get("FAULTMODEL_BENCH_RELAXED"):
+    if gate_relaxed():
         return
     for row in rows[1:]:
         assert row["relative_throughput"] >= MIN_RELATIVE_THROUGHPUT, (

@@ -7,8 +7,8 @@ speedups in one file), and enforces the >=2.5x serial-campaign floor over
 the recorded pre-optimization baseline.
 
 Shared CI runners are too noisy for hard wall-clock gates; the workflow
-sets ``SIMCORE_BENCH_RELAXED=1`` there, while local and driver runs keep
-enforcing the floor.
+sets ``REPRO_BENCH_RELAXED=1`` there, while local runs keep enforcing
+the floor.
 """
 
 from __future__ import annotations

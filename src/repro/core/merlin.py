@@ -8,24 +8,28 @@ ACE-like pruned faults counted as Masked), the classification restricted to
 faults that hit vulnerable intervals (Figure 14), the speedups of the two
 phases (Figures 8-10, 12, 13) and the per-fault predicted outcomes used for
 accuracy and homogeneity studies.
+
+The third phase is a plain injection campaign over the group
+representatives: it runs through :meth:`ComprehensiveCampaign.run_shard`,
+the same loop (pooled restore CPU, checkpoint-batch scheduling) the
+comprehensive baseline and the cluster shard workers use.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.grouping import GroupedFaults, group_faults
 from repro.core.intervals import IntervalSet, build_interval_set
-from repro.faults.campaign import (
-    ComprehensiveCampaign,
-    ProgressCallback,
-    schedule_by_checkpoint,
-)
+from repro.faults.campaign import ComprehensiveCampaign, ProgressCallback
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
 from repro.faults.golden import GoldenRecord, capture_golden
-from repro.faults.injector import inject_fault
+# Not called here (representatives inject through the campaign's
+# run_shard); kept bound so call-site tracers that patch this module's
+# injector name by attribute keep resolving it.
+from repro.faults.injector import inject_fault  # noqa: F401
 from repro.faults.model import FaultList
 from repro.faults.models import FaultModel
 from repro.faults.sampling import generate_fault_list
@@ -43,7 +47,6 @@ class MerlinConfig:
     error_margin: float = 0.0063
     confidence: float = 0.998
     seed: int = 0
-    simpoint_mode: bool = False
     #: Fast-forward representative injections from golden checkpoints
     #: (cycle-sorted; bit-identical outcomes, shorter wall clock).
     use_checkpoints: bool = False
@@ -112,21 +115,6 @@ class MerlinCampaign:
         self._baseline = baseline
         self._intervals: Optional[IntervalSet] = None
         self._fault_list: Optional[FaultList] = None
-        # Pooled restore CPU (and its cycle-0 state) shared by every
-        # representative injection this campaign runs itself; see
-        # ComprehensiveCampaign for the restore-reuse contract.
-        self._pooled_cpu = None
-        self._initial_state = None
-
-    def _restore_pool(self):
-        if self._pooled_cpu is None:
-            from repro.uarch.checkpoint import new_restore_pool
-
-            self._pooled_cpu, self._initial_state = new_restore_pool(
-                self.golden.program, self.golden.config,
-                record_reads=self.merlin_config.use_checkpoints,
-            )
-        return self._pooled_cpu, self._initial_state
 
     # ------------------------------------------------------------------
     # Phase 1: preprocessing
@@ -183,71 +171,33 @@ class MerlinCampaign:
     def run(self, progress: Optional[ProgressCallback] = None) -> MerlinResult:
         """Run all three phases and return the MeRLiN reliability estimate.
 
-        ``progress`` (if given) receives ``(injections done, injections
-        planned)`` after each representative injection, mirroring
-        :meth:`ComprehensiveCampaign.run`.
+        Phase 3 is a plain injection campaign over the representatives:
+        they go through :meth:`ComprehensiveCampaign.run_shard` of the
+        shared ``baseline`` when one was given (so they are simulated once
+        for both methods), otherwise of a campaign local to this run.
+        Their effects are then propagated to the groups in group order.
+        ``progress`` receives ``(injections done, injections planned)``
+        after each representative injection.
         """
         started = time.perf_counter()
         grouped = self.reduce()
+        injection_groups = [
+            group for group in grouped.groups if group.representative is not None
+        ]
+        campaign = self._baseline or ComprehensiveCampaign(
+            self.golden, self.initial_fault_list(),
+            use_checkpoints=self.merlin_config.use_checkpoints,
+        )
+        outcomes = campaign.run_shard(
+            [group.representative for group in injection_groups], progress)
 
         representative_outcomes: Dict[int, FaultEffectClass] = {}
         predicted: Dict[int, FaultEffectClass] = {}
         counts_final = ClassificationCounts.empty()
         counts_after_ace = ClassificationCounts.empty()
-        injections = 0
-        injection_groups = [
-            group for group in grouped.groups if group.representative is not None
-        ]
-        planned = len(injection_groups)
-
-        use_checkpoints = self.merlin_config.use_checkpoints
-        reuse_cpu = None
-        schedule = [(group, None) for group in injection_groups]
-        if self._baseline is None and injection_groups:
-            reuse_cpu, initial_state = self._restore_pool()
-            if use_checkpoints:
-                # The comprehensive campaign's cycle-sorted scheduler,
-                # applied to the representatives: injections sharing a
-                # golden checkpoint run back to back with the restore point
-                # resolved once per batch, restoring into one pooled CPU (a
-                # restore resets all machine state, so reuse is exact).
-                # Representatives earlier than the first checkpoint restore
-                # the pooled CPU's cycle-0 state.  Aggregation is
-                # order-insensitive.
-                timeline = self.golden.ensure_checkpoints()
-                group_of = {
-                    group.representative.fault_id: group for group in injection_groups
-                }
-                representatives = [group.representative for group in injection_groups]
-                schedule = [
-                    (group_of[fault.fault_id],
-                     batch.checkpoint if batch.checkpoint is not None else initial_state)
-                    for batch in schedule_by_checkpoint(representatives, timeline)
-                    for fault in batch.faults
-                ]
-            else:
-                # Cold campaign: every representative restores the pristine
-                # initial state into the pooled CPU — bit-identical to a
-                # fresh construction per injection, without the cost.
-                schedule = [(group, initial_state) for group in injection_groups]
-
-        for group, checkpoint in schedule:
-            representative = group.representative
-            if self._baseline is not None:
-                outcome = self._baseline.run_fault(representative)
-            else:
-                outcome = inject_fault(
-                    self.golden, representative,
-                    simpoint_mode=self.merlin_config.simpoint_mode,
-                    fast_forward=use_checkpoints,
-                    checkpoint=checkpoint,
-                    reuse_cpu=reuse_cpu,
-                )
-            injections += 1
-            if progress is not None:
-                progress(injections, planned)
-            effect = outcome.effect
-            representative_outcomes[representative.fault_id] = effect
+        for group in injection_groups:
+            effect = outcomes[group.representative.fault_id].effect
+            representative_outcomes[group.representative.fault_id] = effect
             for fault_id in group.member_fault_ids():
                 predicted[fault_id] = effect
                 counts_final.add(effect)
@@ -266,7 +216,7 @@ class MerlinCampaign:
             counts_after_ace=counts_after_ace,
             predicted_outcomes=predicted,
             representative_outcomes=representative_outcomes,
-            injections_performed=injections,
+            injections_performed=len(injection_groups),
             wall_clock_seconds=elapsed,
             golden_cycles=self.golden.cycles,
         )

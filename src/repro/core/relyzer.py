@@ -29,7 +29,6 @@ from repro.core.intervals import IntervalSet
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
 from repro.faults.golden import GoldenRecord
-from repro.faults.injector import inject_fault
 from repro.faults.model import FaultList, FaultSpec
 from repro.uarch.trace import WRITEBACK_RIP
 
@@ -190,26 +189,24 @@ class RelyzerCampaign:
         return groups, masked_ids
 
     def run(self) -> RelyzerResult:
-        """Inject one pilot per group and propagate its outcome."""
+        """Inject one pilot per group and propagate its outcome.
+
+        Pilots go through :meth:`ComprehensiveCampaign.run_shard` of the
+        shared ``baseline`` when one was given, otherwise of a cold
+        campaign local to this run.
+        """
         groups, masked_ids = self.build_groups()
+        campaign = self._baseline or ComprehensiveCampaign(self.golden, self.fault_list)
+        outcomes = campaign.run_shard([group.pilot for group in groups])
         counts_final = ClassificationCounts.empty()
         counts_after_ace = ClassificationCounts.empty()
         predicted: Dict[int, FaultEffectClass] = {}
-        injections = 0
-
         for group in groups:
-            pilot = group.pilot
-            if pilot is None:
-                continue
-            if self._baseline is not None:
-                outcome = self._baseline.run_fault(pilot)
-            else:
-                outcome = inject_fault(self.golden, pilot)
-            injections += 1
+            effect = outcomes[group.pilot.fault_id].effect
             for fault_id in group.member_fault_ids():
-                predicted[fault_id] = outcome.effect
-                counts_final.add(outcome.effect)
-                counts_after_ace.add(outcome.effect)
+                predicted[fault_id] = effect
+                counts_final.add(effect)
+                counts_after_ace.add(effect)
 
         for fault_id in masked_ids:
             predicted[fault_id] = FaultEffectClass.MASKED
@@ -224,5 +221,5 @@ class RelyzerCampaign:
             counts_final=counts_final,
             counts_after_ace=counts_after_ace,
             predicted_outcomes=predicted,
-            injections_performed=injections,
+            injections_performed=len(groups),
         )

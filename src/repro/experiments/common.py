@@ -243,13 +243,10 @@ class ExperimentContext:
             seed=self._list_seed(benchmark, structure), method="both",
         )
         prepared = self.session.prepare(spec)
-        golden = prepared.golden
         fault_list = prepared.fault_list
-        intervals = build_interval_set(golden.tracer, structure)
-        grouped = group_faults(fault_list, intervals)
-
         baseline = prepared.comprehensive_campaign()
         merlin_result = prepared.merlin_campaign(baseline).run()
+        grouped = merlin_result.grouped
 
         # Baseline over the faults that hit vulnerable intervals (Figure 14's
         # reference), reusing the memoised outcomes of the shared campaign.
@@ -283,7 +280,7 @@ class ExperimentContext:
             benchmark=benchmark,
             structure=structure,
             config_label=config_label,
-            golden=golden,
+            golden=prepared.golden,
             fault_list=fault_list,
             grouped=grouped,
             merlin=merlin_result,

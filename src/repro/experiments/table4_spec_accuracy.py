@@ -15,9 +15,8 @@ from repro.core.grouping import group_faults
 from repro.core.intervals import build_interval_set
 from repro.core.reporting import TableReport
 from repro.experiments.common import ExperimentContext, ExperimentScale
+from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.classification import ClassificationCounts, SimpointEffectClass
-from repro.faults.golden import capture_golden
-from repro.faults.injector import inject_fault
 from repro.faults.sampling import generate_fault_list
 from repro.uarch.config import SPEC_CONFIG
 from repro.uarch.structures import TargetStructure, structure_geometry
@@ -29,22 +28,16 @@ TABLE4_BENCHMARKS = ("gcc", "bzip2")
 def _simpoint_campaign(context: ExperimentContext, benchmark: str,
                        faults: int) -> Dict[str, ClassificationCounts]:
     """Run MeRLiN and the baseline in SimPoint mode for one benchmark."""
-    program = context.program(benchmark)
-    golden = capture_golden(program, SPEC_CONFIG, trace=True)
+    golden = context.golden(benchmark, SPEC_CONFIG)
     intervals = build_interval_set(golden.tracer, TargetStructure.RF)
     geometry = structure_geometry(TargetStructure.RF, SPEC_CONFIG)
     fault_list = generate_fault_list(
         geometry, golden.cycles, sample_size=faults, seed=context.scale.seed + 17
     )
     grouped = group_faults(fault_list, intervals)
-
-    outcome_cache: Dict[int, SimpointEffectClass] = {}
-
-    def simpoint_effect(fault) -> SimpointEffectClass:
-        if fault.fault_id not in outcome_cache:
-            outcome = inject_fault(golden, fault, simpoint_mode=True)
-            outcome_cache[fault.fault_id] = outcome.simpoint_effect
-        return outcome_cache[fault.fault_id]
+    # run_fault memoises by fault id: representatives are simulated once
+    # for both columns.
+    campaign = ComprehensiveCampaign(golden, fault_list, simpoint_mode=True)
 
     baseline = ClassificationCounts.empty(SimpointEffectClass)
     pruned = set(grouped.masked_fault_ids)
@@ -52,11 +45,11 @@ def _simpoint_campaign(context: ExperimentContext, benchmark: str,
         if fault.fault_id in pruned:
             baseline.add(SimpointEffectClass.MASKED)
         else:
-            baseline.add(simpoint_effect(fault))
+            baseline.add(campaign.run_fault(fault).simpoint_effect)
 
     merlin = ClassificationCounts.empty(SimpointEffectClass)
     for group in grouped.groups:
-        effect = simpoint_effect(group.representative)
+        effect = campaign.run_fault(group.representative).simpoint_effect
         merlin.add(effect, weight=group.size)
     merlin.add(SimpointEffectClass.MASKED, weight=len(grouped.masked_fault_ids))
 

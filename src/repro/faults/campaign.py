@@ -4,14 +4,16 @@ A comprehensive campaign injects *every* fault of the initial statistical
 fault list — this is the paper's baseline against which MeRLiN's speedup and
 accuracy are measured.  The campaign driver caches per-fault outcomes so
 that accuracy comparisons (which re-use the same fault list) do not pay for
-double simulation.
+double simulation.  :meth:`ComprehensiveCampaign.run_shard` is the one
+in-process injection loop: MeRLiN's representatives, Relyzer's pilots and
+the cluster engine's shards inject through it as well.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
@@ -152,37 +154,28 @@ class ComprehensiveCampaign:
 
     def run(self, faults: Optional[Iterable[FaultSpec]] = None,
             progress: Optional[ProgressCallback] = None) -> CampaignResult:
-        """Inject ``faults`` (default: the full list) and aggregate the outcome."""
-        target: Union[FaultList, Sequence[FaultSpec]]
-        if faults is None:
-            target = self.fault_list
-        elif isinstance(faults, (FaultList, list, tuple)):
-            target = faults
-        else:
-            target = list(faults)
-        total = len(target)
+        """Inject ``faults`` (default: the full list) and aggregate the outcome.
+
+        :meth:`run_shard` plus classification counting in fault-list order.
+        """
+        target = list(self.fault_list if faults is None else faults)
+        started = time.perf_counter()  # repro-lint: disable=det-wallclock -- wall_clock_seconds is measurement, not identity
+        shard = self.run_shard(target, progress)
         counts = ClassificationCounts.empty()
         outcomes: Dict[int, FaultEffectClass] = {}
         simulated_cycles = 0
-        started = time.perf_counter()  # repro-lint: disable=det-wallclock -- wall_clock_seconds is measurement, not identity
-        done = 0
-        reuse_cpu, _ = self._restore_pool()
-        for fault, checkpoint in self._schedule(target):
-            outcome = self.run_fault(fault, checkpoint=checkpoint,
-                                     reuse_cpu=reuse_cpu)
+        for fault in target:
+            outcome = shard[fault.fault_id]
             counts.add(outcome.effect)
             outcomes[fault.fault_id] = outcome.effect
             simulated_cycles += outcome.result.cycles
-            done += 1
-            if progress is not None:
-                progress(done, total)
         elapsed = time.perf_counter() - started  # repro-lint: disable=det-wallclock -- wall_clock_seconds is measurement, not identity
         return CampaignResult(
             structure_name=self.fault_list.structure.short_name,
             benchmark_name=self.golden.program.name,
             counts=counts,
             outcomes=outcomes,
-            injections_performed=total,
+            injections_performed=len(target),
             wall_clock_seconds=elapsed,
             simulated_cycles=simulated_cycles,
         )
@@ -211,25 +204,33 @@ class ComprehensiveCampaign:
                 yield fault, checkpoint
 
     # ------------------------------------------------------------------
-    def run_shard(self, faults: Iterable[FaultSpec]) -> Dict[int, InjectionOutcome]:
+    def run_shard(self, faults: Iterable[FaultSpec],
+                  progress: Optional[ProgressCallback] = None,
+                  ) -> Dict[int, InjectionOutcome]:
         """Inject exactly ``faults`` and return per-fault outcomes by id.
 
-        The shard-level unit of work of the cluster engine: no aggregate
-        timing or classification, just the raw per-fault outcomes the
-        coordinator needs to merge shards bit-identically.  Scheduling is
-        the same as :meth:`run` (cycle-sorted checkpoint batches with a
-        pooled restore CPU on the fast-forward path), so a shard costs no
-        more per fault than a whole campaign would.
+        The one in-process injection loop: :meth:`run`, MeRLiN's
+        representatives, Relyzer's pilots and the cluster engine's shard
+        workers all inject through it.  Faults run in :meth:`_schedule`
+        order (cycle-sorted checkpoint batches on the fast-forward path)
+        into the campaign's pooled restore CPU, so a shard costs no more
+        per fault than a whole campaign would.  ``progress`` receives
+        ``(k, n)`` after the k-th of ``n`` injections.  Outcomes are
+        memoised by fault id, so a fault already run by this campaign is
+        not simulated again.
         """
         shard = list(faults)
+        total = len(shard)
         reuse_cpu, _ = self._restore_pool()
         outcomes: Dict[int, InjectionOutcome] = {}
-        with obs.span("run_shard", faults=len(shard),
+        with obs.span("run_shard", faults=total,
                       structure=self.fault_list.structure.short_name):
-            for fault, checkpoint in self._schedule(shard):
+            for done, (fault, checkpoint) in enumerate(self._schedule(shard), 1):
                 outcomes[fault.fault_id] = self.run_fault(
                     fault, checkpoint=checkpoint, reuse_cpu=reuse_cpu
                 )
+                if progress is not None:
+                    progress(done, total)
         return outcomes
 
     # ------------------------------------------------------------------

@@ -137,6 +137,17 @@ def test_relyzer_campaign_covers_all_faults(golden, fault_list, baseline):
         assert group.pilot.fault_id in group.member_fault_ids()
 
 
+def test_standalone_relyzer_matches_baseline_backed_run(golden, fault_list, baseline):
+    from repro.core.intervals import build_interval_set
+
+    intervals = build_interval_set(golden.tracer, TargetStructure.RF)
+    backed = RelyzerCampaign(golden, fault_list, intervals, baseline=baseline).run()
+    standalone = RelyzerCampaign(golden, fault_list, intervals).run()
+    assert standalone.predicted_outcomes == backed.predicted_outcomes
+    assert standalone.counts_final.counts == backed.counts_final.counts
+    assert standalone.injections_performed == backed.injections_performed
+
+
 def test_relyzer_requires_traced_golden(fault_list):
     from repro.core.intervals import build_interval_set
 

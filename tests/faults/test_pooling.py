@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.intervals import build_interval_set
+from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.relyzer import RelyzerCampaign
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.testing import shared_fault_list, shared_loop_golden
+from repro.uarch.pipeline import OutOfOrderCpu
+from repro.uarch.structures import TargetStructure
 
 
 def _campaign(use_checkpoints=False, faults=24, seed=3):
@@ -53,3 +60,54 @@ def test_checkpointed_campaign_reuses_pool_across_batches():
     # Cold reference for the same faults.
     reference, _ = _campaign(use_checkpoints=False)
     assert reference.run().outcomes == result.outcomes
+
+
+@pytest.fixture
+def cpus_built(monkeypatch):
+    """Record every OutOfOrderCpu constructed while the test runs."""
+    built = []
+    original = OutOfOrderCpu.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OutOfOrderCpu, "__init__", counting_init)
+    return built
+
+
+def test_run_shard_reports_progress_per_injection():
+    campaign, fault_list = _campaign(faults=12)
+    faults = list(fault_list)[:7]
+    calls = []
+    outcomes = campaign.run_shard(faults, progress=lambda *call: calls.append(call))
+    assert calls == [(k, 7) for k in range(1, 8)]
+    assert set(outcomes) == {fault.fault_id for fault in faults}
+
+
+def test_standalone_relyzer_builds_one_cpu(cpus_built):
+    golden = shared_loop_golden(trace=True)
+    fault_list = shared_fault_list(golden, sample_size=60, seed=5)
+    intervals = build_interval_set(golden.tracer, TargetStructure.RF)
+    del cpus_built[:]
+    result = RelyzerCampaign(golden, fault_list, intervals).run()
+    assert result.injections_performed > 1
+    assert len(cpus_built) == 1
+
+
+@pytest.mark.parametrize("use_checkpoints", [False, True],
+                         ids=["cold", "checkpointed"])
+def test_standalone_merlin_builds_one_cpu(cpus_built, use_checkpoints):
+    golden = shared_loop_golden(trace=True)
+    if use_checkpoints:
+        golden.ensure_checkpoints()
+    campaign = MerlinCampaign(
+        golden.program, golden.config,
+        MerlinConfig(structure=TargetStructure.RF, initial_faults=60, seed=5,
+                     use_checkpoints=use_checkpoints),
+        golden=golden,
+    )
+    del cpus_built[:]
+    result = campaign.run()
+    assert result.injections_performed > 1
+    assert len(cpus_built) == 1

@@ -286,12 +286,12 @@ def test_bench_gate_failure_exits_one_unless_relaxed(tmp_path, capsys, monkeypat
     monkeypatch.setattr(perf, "measure_simcore_gated",
                         lambda quick: _fake_bench_payload(1.2))
     output = tmp_path / "BENCH_simcore.json"
-    monkeypatch.delenv("SIMCORE_BENCH_RELAXED", raising=False)
+    monkeypatch.delenv("REPRO_BENCH_RELAXED", raising=False)
     code = cli.main(["bench", "--quick", "--output", str(output)])
     assert code == 1
     assert "regression gate failed" in capsys.readouterr().err
 
-    monkeypatch.setenv("SIMCORE_BENCH_RELAXED", "1")
+    monkeypatch.setenv("REPRO_BENCH_RELAXED", "1")
     code = cli.main(["bench", "--quick", "--output", str(output)])
     assert code == 0
     assert "below floor but relaxed" in capsys.readouterr().err
