@@ -67,10 +67,13 @@ def inject_fault(
 
     ``fast_forward`` enables the checkpoint engine: the run restores the
     nearest golden checkpoint at-or-before the injection cycle instead of
-    cold-simulating from cycle 0, and ends early with the golden result if
-    the faulty state reconverges exactly onto a later golden checkpoint
-    (only *after* the fault's active window has closed — a still-open
-    window could re-perturb matched state).
+    cold-simulating from cycle 0, and ends early with the golden result
+    either at the fault cycle, when a one-cycle fault lands only in dead
+    cells (free registers, invalid SQ slots or L1D lines), or once the
+    faulty state reconverges exactly onto a later golden checkpoint (only
+    *after* the fault's active window has closed — a still-open window
+    could re-perturb matched state); see
+    :func:`~repro.uarch.checkpoint.make_reconvergence_hook`.
     Both paths are bit-identical in classification and in every
     :class:`SimulationResult` field (enforced by the differential harness
     in ``tests/integration/test_checkpoint_equivalence.py``).
@@ -80,12 +83,20 @@ def inject_fault(
     and ``reuse_cpu`` a pooled CPU object to restore into (a restore
     resets *all* machine state, so reuse is exact; only used when a
     restore actually happens).
+
+    Under :mod:`repro.obs` each call records the cycles it actually
+    stepped and why the run ended: the termination kind, ``reconverged``
+    or ``dead_flip``.  A run ended early iff it stopped before the cycle
+    count of the result it returns; it stopped at ``fault.cycle`` iff the
+    dead-flip exit fired.
     """
     obs_ctx = obs.active()
     fault_plan = fault.plan()
     max_cycles = max(golden.timeout_cycles(TIMEOUT_FACTOR), fault.cycle + 1)
     max_instructions = golden.committed_instructions if simpoint_mode else None
     timeline = golden.checkpoints if fast_forward else None
+    cpu = None
+    start_cycle = 0
     try:
         cycle_hook = None
         start = checkpoint
@@ -111,6 +122,7 @@ def inject_fault(
                                 record_reads=cycle_hook is not None or None)
         if start is not None:
             cpu.restore(start)
+            start_cycle = start.cycle
             if obs_ctx is not None and start.cycle:
                 # A cycle-0 restore is the pooled cold path, not a
                 # fast-forward; only mid-run restores save simulation.
@@ -125,7 +137,11 @@ def inject_fault(
 
     effect = classify_outcome(golden.result, result)
     if obs_ctx is not None:
-        obs_ctx.injection_done(effect.value)
+        stepped = cpu.cycle - start_cycle if cpu is not None else 0
+        end_reason = result.termination.value
+        if cpu is not None and cpu.cycle < result.cycles:
+            end_reason = "dead_flip" if cpu.cycle == fault.cycle else "reconverged"
+        obs_ctx.injection_done(effect.value, stepped, end_reason)
     simpoint_effect = None
     if simpoint_mode:
         simpoint_effect = classify_simpoint_outcome(golden.result, result)

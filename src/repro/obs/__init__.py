@@ -95,6 +95,17 @@ class ObsContext:
             "Injection outcomes by classification.",
             labels=("effect",),
         )
+        self._stepped_cycles = registry.counter(
+            "repro_stepped_cycles_total",
+            "Pipeline cycles injection runs actually stepped (restored "
+            "prefixes and early-exit tails excluded).",
+        )
+        self._run_ends = registry.counter(
+            "repro_run_end_total",
+            "Injection runs by why they ended: the termination kind, "
+            "reconverged or dead_flip.",
+            labels=("reason",),
+        )
         self._faults_per_second = registry.gauge(
             "repro_faults_per_second",
             "End-to-end campaign throughput: injections / wall seconds.",
@@ -216,9 +227,14 @@ class ObsContext:
     # ------------------------------------------------------------------
     # Instrumentation entry points (one call each at the existing seams)
     # ------------------------------------------------------------------
-    def injection_done(self, effect: str) -> None:
+    def injection_done(self, effect: str, stepped_cycles: int = 0,
+                       end_reason: Optional[str] = None) -> None:
         self._injections.inc()
         self._classifications.inc(effect=effect)
+        if stepped_cycles > 0:
+            self._stepped_cycles.inc(stepped_cycles)
+        if end_reason is not None:
+            self._run_ends.inc(reason=end_reason)
 
     def checkpoint_restore(self, cycles_saved: int) -> None:
         self._checkpoint_restores.inc()

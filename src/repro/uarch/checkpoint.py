@@ -1008,30 +1008,84 @@ def _flip_site_matches(cpu: OutOfOrderCpu, state: CpuState, fault) -> bool:
     return True
 
 
+def _flip_sites_dead(cpu: OutOfOrderCpu, fault) -> bool:
+    """O(flip sites) check: is every faulted cell free storage right now?
+
+    The sibling of :func:`_flip_site_matches`, with the same per-structure
+    dispatch.  A cell is *dead* when its next access must be a full
+    overwrite: an RF register on the free list, a store-queue slot that
+    is not ``valid``, or an L1D word whose line is not ``valid``.  Every
+    distinct entry of the flip set must be dead.
+    """
+    structure = fault.structure
+    for entry in fault.flip_entries():
+        if structure is TargetStructure.RF:
+            if entry not in cpu.free_list:
+                return False
+        elif structure is TargetStructure.SQ:
+            if cpu.store_queue.slots[entry].valid:
+                return False
+        elif structure is TargetStructure.L1D:
+            set_index, way, _ = cpu.dcache.entry_location(entry)
+            if cpu.dcache.lines[set_index][way].valid:
+                return False
+    return True
+
+
 def make_reconvergence_hook(
     timeline: CheckpointTimeline,
     fault,
     golden_result: SimulationResult,
 ) -> Callable[[OutOfOrderCpu], Optional[SimulationResult]]:
-    """Build a ``cycle_hook`` that ends a run early once it reconverges.
+    """Build a ``cycle_hook`` that ends a run early once its outcome is known.
 
-    At every checkpointed cycle strictly after the *active window* of
-    ``fault`` (a :class:`~repro.faults.model.FaultSpec`) has closed, the
-    live state is compared — exactly, field by field — against the golden
-    checkpoint.  On equality the simulator is deterministic, so the rest
-    of the run *is* the golden run; a copy of the golden result is
-    returned and the pipeline stops.  Checkpoints inside a still-open
-    window are never candidates: a later re-application (intermittent) or
-    re-pin (stuck-at) could diverge state that momentarily matched.  Runs
-    that cannot have reconverged pay only O(1) pre-checks per checkpoint
-    (scalar divergence counters, then the faulted cells themselves).
+    Two exits return a copy of the golden result and stop the pipeline:
+
+    * **Dead-on-arrival flip.**  At the boundary ``cpu.cycle ==
+      fault.cycle``, before the fault is applied, a fault whose window is
+      one cycle and whose flip entries are all dead
+      (:func:`_flip_sites_dead`) is masked, exactly:
+
+      - at that boundary the run equals the golden run: it was restored
+        from a golden checkpoint (or started cold) and no fault has fired
+        yet;
+      - rename calls ``mark_not_ready`` on every register it allocates, so
+        consumers wait for writeback, and writeback overwrites the whole
+        register;
+      - store-queue data is read only when ``data_ready`` is set, and
+        ``set_data`` overwrites the latch before setting it;
+      - an invalid L1D line is never looked up, evicted or flushed, and
+        ``_fill`` overwrites every byte of it;
+      - so every later read, and therefore the whole
+        :class:`SimulationResult`, equals the golden run's.
+
+      Windowed faults (intermittent, stuck-at) never take this exit: a
+      later application could land after the cell comes back to life.
+    * **Reconvergence.**  At every checkpointed cycle strictly after the
+      *active window* of ``fault`` (a :class:`~repro.faults.model.FaultSpec`)
+      has closed, the live state is compared — exactly, field by field —
+      against the golden checkpoint.  On equality the simulator is
+      deterministic, so the rest of the run *is* the golden run.
+      Checkpoints inside a still-open window are never candidates: a later
+      re-application (intermittent) or re-pin (stuck-at) could diverge
+      state that momentarily matched.  Runs that cannot have reconverged
+      pay only O(1) pre-checks per checkpoint (scalar divergence counters,
+      then the faulted cells themselves).
+
+    A run that stops at ``fault.cycle`` took the first exit; one that stops
+    later took the second (``inject_fault`` tells them apart this way).
     """
     last_active = fault.last_active_cycle
+    # -1 never equals a cycle: windowed faults skip the dead-flip check.
+    dead_check_cycle = fault.cycle if last_active == fault.cycle else -1
 
     def hook(cpu: OutOfOrderCpu) -> Optional[SimulationResult]:
-        if cpu.cycle <= last_active:
+        cycle = cpu.cycle
+        if cycle <= last_active:
+            if cycle == dead_check_cycle and _flip_sites_dead(cpu, fault):
+                return clone_result(golden_result)
             return None
-        state = timeline.state_at(cpu.cycle)
+        state = timeline.state_at(cycle)
         if state is None or _quick_mismatch(cpu, state):
             return None
         if not _flip_site_matches(cpu, state, fault):

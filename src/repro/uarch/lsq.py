@@ -279,7 +279,11 @@ class StoreQueue:
 
     def snapshot(self) -> Tuple:
         """Capture head/tail pointers and every slot, including the
-        persistent data latches of *free* slots (faults there matter).
+        persistent data latches of *free* slots.  A fault in a free latch
+        changes machine state until the slot is refilled, so state
+        equality must see it; it never changes the outcome, because
+        ``set_data`` overwrites the latch before any read (the dead-flip
+        exit of :func:`~repro.uarch.checkpoint.make_reconvergence_hook`).
 
         Snapshot/restore contract: immutable, picklable, ``==`` iff the
         queues are bit-identical.

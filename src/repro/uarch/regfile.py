@@ -103,6 +103,9 @@ class FreeList:
     def __len__(self) -> int:
         return len(self._free)
 
+    def __contains__(self, index: int) -> bool:
+        return index in self._free
+
     def allocate(self) -> int:
         if not self._free:
             raise SimulatorAssertError("physical register free list underflow")

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.faults.classification import FaultEffectClass
 from repro.faults.golden import capture_golden
 from repro.faults.injector import inject_fault
 from repro.faults.model import FaultSpec
 from repro.faults.models import IntermittentBurst, StuckAt0, StuckAt1
 from repro.testing import build_loop_program, small_config
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.pipeline import OutOfOrderCpu
+from repro.uarch.structures import (
+    WORDS_PER_LINE,
+    TargetStructure,
+    structure_geometry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +129,80 @@ def test_multi_entry_flip_set_is_applied_and_prefiltered(golden, golden_warm):
     assert fault.flip_entries() == (58, 59)
     outcome = both_paths(golden, golden_warm, fault)
     assert outcome.effect in set(FaultEffectClass)
+
+
+# ----------------------------------------------------------------------
+# The dead-on-arrival exit must never fire on a live or windowed fault
+# ----------------------------------------------------------------------
+def replay_until(golden, predicate):
+    """A golden replay stopped at the first cycle boundary where
+    ``predicate(cpu)`` holds (before that cycle's fault application)."""
+    cpu = OutOfOrderCpu(golden.program, golden.config)
+    cpu.run(cycle_hook=lambda live: golden.result if predicate(live) else None)
+    assert predicate(cpu), "the golden run never reached the wanted state"
+    return cpu
+
+
+def live_entries(cpu, structure):
+    """Fault-target entries whose storage is in use at this boundary."""
+    if structure is TargetStructure.RF:
+        return [reg for reg in range(cpu.prf.num_regs) if reg not in cpu.free_list]
+    if structure is TargetStructure.SQ:
+        return [slot.index for slot in cpu.store_queue.slots if slot.valid]
+    lines = [line for ways in cpu.dcache.lines for line in ways]
+    return [index * WORDS_PER_LINE for index, line in enumerate(lines)
+            if line.valid]
+
+
+def dead_flip_exits(golden_warm, fault) -> float:
+    """How often the fast-forwarded run of ``fault`` stopped at its cycle."""
+    with obs.observe() as ctx:
+        inject_fault(golden_warm, fault, fast_forward=True)
+    return ctx.registry.value("repro_run_end_total", reason="dead_flip") or 0
+
+
+@pytest.mark.parametrize("structure", list(TargetStructure), ids=lambda s: s.name)
+def test_live_entry_never_exits_at_fault_cycle(golden, golden_warm, structure):
+    """A mapped register, a valid SQ slot or a valid L1D line is live."""
+    cpu = replay_until(golden, lambda live: (
+        live.cycle >= golden.cycles // 3 and live_entries(live, structure)))
+    for entry in live_entries(cpu, structure)[:4]:
+        fault = FaultSpec(0, structure, entry=entry, bit=1, cycle=cpu.cycle)
+        both_paths(golden, golden_warm, fault)
+        assert dead_flip_exits(golden_warm, fault) == 0, fault.describe()
+
+
+@pytest.fixture(scope="module")
+def free_register(golden):
+    """(cycle, physical register) of a register on the free list."""
+    cpu = replay_until(golden, lambda live: (
+        live.cycle >= golden.cycles // 2 and len(live.free_list)))
+    return cpu.cycle, next(reg for reg in range(cpu.prf.num_regs)
+                           if reg in cpu.free_list)
+
+
+@pytest.mark.parametrize("model", [StuckAt0(duration=4), StuckAt1(duration=1),
+                                   IntermittentBurst(count=3, period=2)],
+                         ids=["stuck-at-0-window-4", "stuck-at-1-one-cycle",
+                              "intermittent-3x2"])
+def test_windowed_fault_on_dead_entry_waits_for_window(
+        golden, golden_warm, free_register, model):
+    """Only one-cycle faults take the exit, even on a free register."""
+    cycle, reg = free_register
+    transient = FaultSpec(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle)
+    assert dead_flip_exits(golden_warm, transient) == 1
+    fault = model.make_fault(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle)
+    both_paths(golden, golden_warm, fault)
+    expected = 1 if fault.last_active_cycle == fault.cycle else 0
+    assert dead_flip_exits(golden_warm, fault) == expected, fault.describe()
+
+
+def test_burst_with_one_live_entry_never_exits(golden, golden_warm, free_register):
+    """Every flip entry must be dead, not just the anchor."""
+    cycle, reg = free_register
+    cpu = replay_until(golden, lambda live: live.cycle == cycle)
+    live = live_entries(cpu, TargetStructure.RF)[0]
+    fault = FaultSpec(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle,
+                      model="multi-bit", flips=((reg, 5), (live, 5)))
+    both_paths(golden, golden_warm, fault)
+    assert dead_flip_exits(golden_warm, fault) == 0

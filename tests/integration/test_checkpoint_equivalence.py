@@ -21,8 +21,11 @@ import zlib
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.faults.campaign import ComprehensiveCampaign
+from repro.faults.classification import FaultEffectClass
 from repro.faults.golden import capture_golden
 from repro.faults.injector import inject_fault
 from repro.faults.model import FaultSpec
@@ -33,7 +36,13 @@ from repro.testing import (
     small_config,
 )
 from repro.uarch.config import MicroarchConfig
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.pipeline import OutOfOrderCpu
+from repro.uarch.structures import (
+    WORDS_PER_LINE,
+    TargetStructure,
+    structure_geometry,
+)
+from repro.workloads.registry import build_program
 
 #: Randomized faults drawn per (program, structure, config) combination.
 FAULTS_PER_COMBO = 18
@@ -166,3 +175,91 @@ def test_merlin_campaign_identical_with_and_without_checkpoints():
     assert warm.predicted_outcomes == cold.predicted_outcomes
     assert warm.representative_outcomes == cold.representative_outcomes
     assert warm.injections_performed == cold.injections_performed
+
+
+# ----------------------------------------------------------------------
+# Forced-dead differential: the dead-on-arrival exit
+# ----------------------------------------------------------------------
+#: Workloads for the forced-dead differential: three MiBench kernels and
+#: one SPEC kernel, each at scale 1 on the small configuration.
+DEAD_WORKLOADS = ("sha", "qsort", "fft", "libquantum")
+
+DEAD_STRUCTURES = (TargetStructure.RF, TargetStructure.SQ, TargetStructure.L1D)
+
+#: Checkpoint spacing for the warm goldens (a few hundred to ~3k cycles).
+DEAD_CHECKPOINT_INTERVAL = 40
+
+
+def dead_units(cpu, structure: TargetStructure) -> tuple:
+    """The free storage units of ``structure`` at this cycle boundary:
+    registers on the free list, invalid SQ slots, invalid L1D lines."""
+    if structure is TargetStructure.RF:
+        return tuple(sorted(cpu.free_list.snapshot()))
+    if structure is TargetStructure.SQ:
+        return tuple(slot.index for slot in cpu.store_queue.slots
+                     if not slot.valid)
+    return tuple(index for index, line in enumerate(
+        line for ways in cpu.dcache.lines for line in ways) if not line.valid)
+
+
+def dead_replay(workload: str, structure: TargetStructure):
+    """Cold and warm goldens plus, per cycle, the units dead in a replay."""
+    program = build_program(workload, 1)
+    config = small_config()
+    golden_cold = capture_golden(program, config, trace=False)
+    golden_warm = capture_golden(program, config, trace=False,
+                                 checkpoint_interval=DEAD_CHECKPOINT_INTERVAL)
+    dead = {}
+
+    def record(cpu):
+        units = dead_units(cpu, structure)
+        if units:
+            dead[cpu.cycle] = units
+        return None
+
+    replay = OutOfOrderCpu(program, config).run(cycle_hook=record)
+    assert replay == golden_cold.result
+    return golden_cold, golden_warm, dead
+
+
+@pytest.mark.parametrize("structure", DEAD_STRUCTURES, ids=lambda s: s.name)
+@pytest.mark.parametrize("workload", DEAD_WORKLOADS)
+def test_dead_flip_exit_is_bit_identical_to_cold_start(workload, structure):
+    """Faults drawn only from cells that are free at their cycle.
+
+    Every such fault is masked, so the fast-forwarded run may stop at the
+    fault cycle with the golden result; the cold path must agree field by
+    field, and must itself equal the golden run.  The obs end-reason
+    counter proves the dead-flip exit actually fired.
+    """
+    golden_cold, golden_warm, dead = dead_replay(workload, structure)
+    geometry = structure_geometry(structure, golden_cold.config)
+    per_unit = WORDS_PER_LINE if structure is TargetStructure.L1D else 1
+    cycles = sorted(dead)
+    fired = []
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        cycle = data.draw(st.sampled_from(cycles), label="cycle")
+        units = dead[cycle]
+        unit = data.draw(st.sampled_from(units), label="unit")
+        entry = unit * per_unit + data.draw(st.integers(0, per_unit - 1))
+        bit = data.draw(st.integers(0, geometry.bits_per_entry - 1), label="bit")
+        fault = FaultSpec(0, structure, entry=entry, bit=bit, cycle=cycle)
+        if len(units) > 1 and data.draw(st.booleans(), label="two entries"):
+            other = data.draw(st.sampled_from(units), label="second unit")
+            fault = FaultSpec(0, structure, entry=entry, bit=bit, cycle=cycle,
+                              model="multi-bit",
+                              flips=((entry, bit), (other * per_unit, bit)))
+        cold = inject_fault(golden_cold, fault)
+        with obs.observe() as ctx:
+            warm = inject_fault(golden_warm, fault, fast_forward=True)
+        assert_results_identical(cold, warm, fault)
+        assert cold.result == golden_cold.result, fault.describe()
+        assert cold.effect is FaultEffectClass.MASKED
+        fired.append(ctx.registry.value("repro_run_end_total",
+                                        reason="dead_flip") or 0)
+
+    check()
+    assert sum(fired) >= 1, "the dead-flip exit never fired"
