@@ -5,8 +5,8 @@ resolves a :class:`~repro.api.spec.CampaignSpec` into programs, golden
 runs and fault lists — memoising each by the spec's sub-identities so
 campaigns that agree on (workload, scale, config) share one profiling run
 and campaigns that additionally agree on (structure, budget, seed) share
-one fault list, across ``merlin``/``comprehensive``/``both`` methods
-alike.  Results persist to an optional :class:`~repro.api.store.ResultStore`
+one fault list while either is live, across
+``merlin``/``comprehensive``/``both`` methods alike.  Results persist to an optional :class:`~repro.api.store.ResultStore`
 keyed by :meth:`CampaignSpec.run_id`, so re-running a spec reloads the
 stored artifact instead of re-simulating.
 
@@ -18,12 +18,16 @@ Three levels of access::
 
 ``run`` is what the CLI and engines use; ``execute`` serves accuracy and
 homogeneity studies that need per-fault outcomes; ``prepare`` serves
-harnesses (like the experiment context) that wire their own campaign
-variants on top of the shared state.
+harnesses (like the experiment context and the cluster planner) that
+wire their own campaigns on top of the shared state.  Both routes to an
+outcome end in :meth:`PreparedCampaign.outcome`: ``execute`` with the
+results it ran in-process, the cluster merge with results rebuilt from
+shard outcomes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -31,7 +35,7 @@ from repro import obs
 from repro.api.result import CampaignOutcome, ComprehensiveSummary, MerlinSummary
 from repro.api.spec import CampaignSpec
 from repro.api.store import ResultStore
-from repro.core.merlin import MerlinCampaign, MerlinConfig, MerlinResult
+from repro.core.merlin import MerlinCampaign, MerlinResult
 from repro.faults.campaign import (
     CampaignResult,
     ComprehensiveCampaign,
@@ -65,27 +69,20 @@ class PreparedCampaign:
             self.golden, self.fault_list, use_checkpoints=self.use_checkpoints
         )
 
-    def merlin_campaign(
-        self, baseline: Optional[ComprehensiveCampaign] = None
-    ) -> MerlinCampaign:
-        """A MeRLiN campaign wired to the shared golden run and fault list."""
-        campaign = MerlinCampaign(
-            self.program,
-            self.spec.config,
-            MerlinConfig(
-                structure=self.spec.structure,
-                initial_faults=self.spec.faults,
-                error_margin=self.spec.error_margin,
-                confidence=self.spec.confidence,
-                seed=self.spec.seed,
-                use_checkpoints=self.use_checkpoints,
-                fault_model=self.spec.fault_model_instance(),
+    def outcome(self, merlin: Optional[MerlinResult] = None,
+                comprehensive: Optional[CampaignResult] = None) -> CampaignOutcome:
+        """The serializable outcome of this campaign's method results."""
+        return CampaignOutcome(
+            spec=self.spec,
+            golden_cycles=self.golden.cycles,
+            committed_instructions=self.golden.committed_instructions,
+            total_bits=self.geometry.total_bits,
+            merlin=MerlinSummary.from_result(merlin) if merlin is not None else None,
+            comprehensive=(
+                ComprehensiveSummary.from_result(comprehensive)
+                if comprehensive is not None else None
             ),
-            golden=self.golden,
-            baseline=baseline,
         )
-        campaign.use_fault_list(self.fault_list)
-        return campaign
 
 
 @dataclass
@@ -141,7 +138,10 @@ class Session:
         self._custom_programs: Dict[str, Program] = {}
         self._programs: Dict[Tuple, Program] = {}
         self._goldens: Dict[Tuple, GoldenRecord] = {}
-        self._fault_lists: Dict[Tuple, FaultList] = {}
+        # Weakly held: a Leveugle-sized list is tens of MB, so a long-lived
+        # session must not keep every list it ever drew.
+        self._fault_lists: "weakref.WeakValueDictionary[Tuple, FaultList]" = (
+            weakref.WeakValueDictionary())
 
     # ------------------------------------------------------------------
     # Shared state, keyed by spec sub-identities
@@ -241,18 +241,22 @@ class Session:
         return golden
 
     def fault_list(self, spec: CampaignSpec) -> FaultList:
-        """The initial statistical fault list for the spec (memoised).
+        """The initial statistical fault list for the spec.
 
+        Memoised while live: callers asking for the same list while some
+        caller still holds it get that very object; once the last holder
+        drops it, the next call draws it again (same seed, same faults).
         The spec's fault model shapes both the draws (anchor-bit range,
         per-model population sizing) and the materialised scenarios; the
         model identity is part of the memo key, so campaigns differing
         only in model never share a list.
         """
         key = spec.fault_list_key()
-        if key not in self._fault_lists:
+        fault_list = self._fault_lists.get(key)
+        if fault_list is None:
             golden = self.golden(spec)
             geometry = structure_geometry(spec.structure, spec.config)
-            self._fault_lists[key] = generate_fault_list(
+            fault_list = generate_fault_list(
                 geometry,
                 golden.cycles,
                 sample_size=spec.faults,
@@ -261,7 +265,8 @@ class Session:
                 seed=spec.seed,
                 model=spec.fault_model_instance(),
             )
-        return self._fault_lists[key]
+            self._fault_lists[key] = fault_list
+        return fault_list
 
     # ------------------------------------------------------------------
     # Campaign execution
@@ -293,9 +298,8 @@ class Session:
         execution instead of restarting at zero mid-run.
         """
         prepared = self.prepare(spec)
-        baseline: Optional[ComprehensiveCampaign] = None
-        if spec.runs_comprehensive:
-            baseline = prepared.comprehensive_campaign()
+        campaign = prepared.comprehensive_campaign()
+        baseline = campaign if spec.runs_comprehensive else None
 
         merlin_progress = progress
         comprehensive_progress = progress
@@ -311,27 +315,13 @@ class Session:
 
         merlin_result: Optional[MerlinResult] = None
         if spec.runs_merlin:
-            merlin_result = prepared.merlin_campaign(baseline).run(
-                progress=merlin_progress)
+            merlin_result = MerlinCampaign(campaign).run(progress=merlin_progress)
 
         comprehensive_result: Optional[CampaignResult] = None
         if baseline is not None:
             comprehensive_result = baseline.run(progress=comprehensive_progress)
 
-        outcome = CampaignOutcome(
-            spec=spec,
-            golden_cycles=prepared.golden.cycles,
-            committed_instructions=prepared.golden.committed_instructions,
-            total_bits=prepared.geometry.total_bits,
-            merlin=(
-                MerlinSummary.from_result(merlin_result)
-                if merlin_result is not None else None
-            ),
-            comprehensive=(
-                ComprehensiveSummary.from_result(comprehensive_result)
-                if comprehensive_result is not None else None
-            ),
-        )
+        outcome = prepared.outcome(merlin_result, comprehensive_result)
         return CampaignExecution(
             prepared=prepared,
             outcome=outcome,

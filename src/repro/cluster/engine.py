@@ -6,11 +6,13 @@ over ``Session.run``).  It shards every campaign's injection targets into
 checkpoint-aligned :class:`~repro.cluster.shards.FaultShard`s and fans the
 shards of *all* campaigns in the batch out over one worker transport:
 
-1. The coordinator resolves each spec through a checkpointing
-   :class:`~repro.api.session.Session` backed by the on-disk
+1. The coordinator resolves each spec with ``Session.prepare`` on a
+   checkpointing :class:`~repro.api.session.Session` backed by the on-disk
    :class:`~repro.cluster.artifacts.ArtifactCache` — each distinct golden
    run (and its checkpoint timeline) is built once per machine, then
-   warm-loaded by every worker process.
+   warm-loaded by every worker process — and reduces MeRLiN fault lists
+   with :func:`~repro.core.merlin.reduce_fault_list`, as the serial route
+   does.
 2. Injection targets (the full fault list for comprehensive/both, the
    MeRLiN group representatives for merlin-only) are sharded
    deterministically and leased by the
@@ -23,8 +25,10 @@ shards of *all* campaigns in the batch out over one worker transport:
    ``resume=True`` (CLI: ``repro resume <run_id>``), re-executing only the
    missing shards.
 4. Shard outcomes merge into a :class:`~repro.api.result.CampaignOutcome`
-   bit-identical to :class:`~repro.api.engine.SerialEngine`'s — enforced
-   by ``tests/integration/test_cluster_equivalence.py``.
+   through the serial route's propagation and outcome assembly
+   (:mod:`repro.cluster.merge`), so it is bit-identical to
+   :class:`~repro.api.engine.SerialEngine`'s — enforced by
+   ``tests/integration/test_cluster_equivalence.py``.
 
 Progress reports in work units: one unit per shard, plus one per campaign
 that is satisfied without sharding (reloaded from the result store).
@@ -41,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.api.result import CampaignOutcome
-from repro.api.session import Session
+from repro.api.session import PreparedCampaign, Session
 from repro.api.spec import CampaignSpec
 from repro.api.store import ResultStore
 from repro.cluster.artifacts import ArtifactCache, golden_cache_key
@@ -54,12 +58,16 @@ from repro.cluster.remote import (
 )
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
 from repro.cluster.transport import LocalPoolTransport, ShardTask, WorkerTransport
-from repro.core.grouping import GroupedFaults, group_faults
-from repro.core.intervals import build_interval_set
+from repro.core.grouping import GroupedFaults
+# Not called here (planning reduces through repro.core.merlin); kept bound
+# so call-site tracers that patch these names by attribute keep resolving.
+from repro.core.grouping import group_faults  # noqa: F401
+from repro.core.intervals import build_interval_set  # noqa: F401
+from repro.core.merlin import reduce_fault_list
 from repro.faults.campaign import ComprehensiveCampaign, ProgressCallback
 from repro.faults.golden import GoldenRecord
 from repro.faults.model import FaultList
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.structures import TargetStructure
 
 #: Default on-disk location for golden artifacts and run journals.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -156,9 +164,7 @@ class _CampaignPlan:
     """One spec's resolved inputs and shard plan."""
 
     index: int
-    spec: CampaignSpec
-    golden: GoldenRecord
-    fault_list: FaultList
+    prepared: PreparedCampaign
     grouped: Optional[GroupedFaults]
     shards: List[FaultShard]
     journal: RunJournal
@@ -296,8 +302,8 @@ class ClusterEngine:
         lookup: Dict[str, Tuple[_CampaignPlan, FaultShard]] = {}
         for plan in pending_plans:
             plan.started = time.perf_counter()
-            spec_dict = plan.spec.to_dict()
-            warm_key = golden_cache_key(plan.spec, self.checkpoint_interval)
+            spec_dict = plan.prepared.spec.to_dict()
+            warm_key = golden_cache_key(plan.prepared.spec, self.checkpoint_interval)
             for shard in plan.pending.values():
                 task = ShardTask(
                     task_id=f"{plan.index}:{shard.shard_id()}",
@@ -334,7 +340,7 @@ class ClusterEngine:
 
         def describe(task: ShardTask) -> str:
             plan, shard = lookup[task.task_id]
-            return f"campaign {plan.spec.describe()} {shard.describe()}"
+            return f"campaign {plan.prepared.spec.describe()} {shard.describe()}"
 
         transport = self.transport
         if transport is None:
@@ -354,35 +360,25 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     def _plan(self, index: int, spec: CampaignSpec,
               session: Session) -> _CampaignPlan:
-        """Resolve one spec into golden, targets, shards and journal."""
-        golden = session.golden(spec)
-        fault_list = session.fault_list(spec)
-
+        """Resolve one spec into its prepared campaign, shards and journal."""
+        prepared = session.prepare(spec)
         grouped: Optional[GroupedFaults] = None
         if spec.runs_merlin:
-            if golden.tracer is None:
-                raise ValueError(
-                    f"campaign {spec.run_id()}: merlin needs a traced golden run"
-                )
-            intervals = build_interval_set(golden.tracer, spec.structure)
-            grouped = group_faults(fault_list, intervals)
+            grouped = reduce_fault_list(prepared.golden, prepared.fault_list)
 
         if spec.runs_comprehensive:
-            targets = list(fault_list)
+            targets = list(prepared.fault_list)
         else:
-            targets = [
-                group.representative for group in grouped.groups
-                if group.representative is not None
-            ]
+            targets = [group.representative for group in grouped.groups]
         shards = shard_faults(
-            spec.run_id(), targets, golden.checkpoints, self.shard_size
+            spec.run_id(), targets, prepared.golden.checkpoints, self.shard_size
         )
 
         journal = self._journal_for(spec, shards)
 
         plan = _CampaignPlan(
-            index=index, spec=spec, golden=golden, fault_list=fault_list,
-            grouped=grouped, shards=shards, journal=journal,
+            index=index, prepared=prepared, grouped=grouped, shards=shards,
+            journal=journal,
         )
         for shard in shards:
             journaled = journal.completed.get(shard.shard_id())
@@ -445,14 +441,9 @@ class ClusterEngine:
                 store: Optional[ResultStore]) -> CampaignOutcome:
         """Merge a completed campaign, persist it, and close its journal."""
         elapsed = time.perf_counter() - plan.started if plan.started else 0.0
-        with obs.span("merge", run_id=plan.spec.run_id()):
+        with obs.span("merge", run_id=plan.prepared.spec.run_id()):
             outcome = merge_shard_outcomes(
-                plan.spec,
-                plan.golden,
-                structure_geometry(plan.spec.structure, plan.spec.config),
-                plan.fault_list,
-                plan.grouped,
-                plan.outcomes,
+                plan.prepared, plan.grouped, plan.outcomes,
                 wall_clock_seconds=elapsed,
             )
         if store is not None:

@@ -26,7 +26,7 @@ from repro.core.grouping import (
     GroupedFaults,
     group_faults,
 )
-from repro.core.merlin import MerlinCampaign, MerlinConfig, MerlinResult
+from repro.core.merlin import MerlinCampaign, MerlinResult
 from repro.core.metrics import (
     coarse_homogeneity,
     fine_homogeneity,
@@ -46,7 +46,6 @@ __all__ = [
     "GroupedFaults",
     "group_faults",
     "MerlinCampaign",
-    "MerlinConfig",
     "MerlinResult",
     "coarse_homogeneity",
     "fine_homogeneity",

@@ -28,8 +28,8 @@ geometry relative to its anchor.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.intervals import IntervalSet, VulnerableInterval
 from repro.faults.model import FaultList, FaultSpec
@@ -59,8 +59,8 @@ class FaultGroup:
     rip: int
     upc: int
     byte: int
-    members: List[GroupedFault] = field(default_factory=list)
-    representative: Optional[FaultSpec] = None
+    members: List[GroupedFault]
+    representative: FaultSpec
 
     @property
     def key(self) -> Tuple[int, int, int]:
@@ -103,7 +103,7 @@ class GroupedFaults:
     @property
     def injections_required(self) -> int:
         """Number of representatives that must actually be injected."""
-        return sum(1 for group in self.groups if group.representative is not None)
+        return len(self.groups)
 
     @property
     def ace_speedup(self) -> float:
@@ -208,9 +208,10 @@ def group_faults(fault_list: FaultList, intervals: IntervalSet) -> GroupedFaults
             by_byte[member.byte].append(member)
         instance_usage: Counter = Counter()
         for byte, byte_members in sorted(by_byte.items()):
-            group = FaultGroup(rip=rip, upc=upc, byte=byte, members=list(byte_members))
-            group.representative = _select_representative(byte_members, instance_usage)
-            groups.append(group)
+            groups.append(FaultGroup(
+                rip=rip, upc=upc, byte=byte, members=list(byte_members),
+                representative=_select_representative(byte_members, instance_usage),
+            ))
 
     return GroupedFaults(
         structure_name=fault_list.structure.short_name,

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.grouping import GroupedFault, first_vulnerable_interval
 from repro.core.intervals import IntervalSet
+from repro.core.merlin import propagate
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
 from repro.faults.golden import GoldenRecord
@@ -42,8 +43,8 @@ class RelyzerGroup:
 
     rip: int
     path: Tuple[int, ...]
-    members: List[GroupedFault] = field(default_factory=list)
-    pilot: Optional[FaultSpec] = None
+    members: List[GroupedFault]
+    pilot: FaultSpec
 
     @property
     def size(self) -> int:
@@ -182,10 +183,9 @@ class RelyzerCampaign:
         rng = np.random.default_rng(self.seed)
         groups: List[RelyzerGroup] = []
         for (rip, path), members in sorted(grouped.items()):
-            group = RelyzerGroup(rip=rip, path=path, members=members)
             pilot_index = int(rng.integers(0, len(members)))
-            group.pilot = members[pilot_index].fault
-            groups.append(group)
+            groups.append(RelyzerGroup(rip=rip, path=path, members=members,
+                                       pilot=members[pilot_index].fault))
         return groups, masked_ids
 
     def run(self) -> RelyzerResult:
@@ -198,19 +198,11 @@ class RelyzerCampaign:
         groups, masked_ids = self.build_groups()
         campaign = self._baseline or ComprehensiveCampaign(self.golden, self.fault_list)
         outcomes = campaign.run_shard([group.pilot for group in groups])
-        counts_final = ClassificationCounts.empty()
-        counts_after_ace = ClassificationCounts.empty()
-        predicted: Dict[int, FaultEffectClass] = {}
-        for group in groups:
-            effect = outcomes[group.pilot.fault_id].effect
-            for fault_id in group.member_fault_ids():
-                predicted[fault_id] = effect
-                counts_final.add(effect)
-                counts_after_ace.add(effect)
-
-        for fault_id in masked_ids:
-            predicted[fault_id] = FaultEffectClass.MASKED
-            counts_final.add(FaultEffectClass.MASKED)
+        propagated = propagate(
+            ((group.pilot.fault_id, group.member_fault_ids()) for group in groups),
+            masked_ids,
+            lambda fault_id: outcomes[fault_id].effect,
+        )
 
         return RelyzerResult(
             benchmark_name=self.golden.program.name,
@@ -218,8 +210,8 @@ class RelyzerCampaign:
             groups=groups,
             masked_fault_ids=masked_ids,
             initial_faults=len(self.fault_list),
-            counts_final=counts_final,
-            counts_after_ace=counts_after_ace,
-            predicted_outcomes=predicted,
+            counts_final=propagated.counts_final,
+            counts_after_ace=propagated.counts_after_ace,
+            predicted_outcomes=propagated.predicted_outcomes,
             injections_performed=len(groups),
         )

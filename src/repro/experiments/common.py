@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec
-from repro.core.grouping import GroupedFaults, group_faults
+from repro.core.grouping import GroupedFaults
 from repro.core.intervals import IntervalSet, build_interval_set
-from repro.core.merlin import MerlinResult
+from repro.core.merlin import MerlinCampaign, MerlinResult, reduce_fault_list
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
 from repro.faults.golden import GoldenRecord
@@ -211,10 +211,8 @@ class ExperimentContext:
                  seed_offset: int = 0) -> GroupedFaults:
         """Run only the preprocessing + reduction phases (no injections)."""
         count = count if count is not None else self.scale.initial_faults
-        golden = self.golden(benchmark, config)
-        intervals = build_interval_set(golden.tracer, structure)
         fault_list = self.fault_list(benchmark, structure, config, count, seed_offset)
-        return group_faults(fault_list, intervals)
+        return reduce_fault_list(self.golden(benchmark, config), fault_list)
 
     def intervals(self, benchmark: str, structure: TargetStructure,
                   config: MicroarchConfig) -> IntervalSet:
@@ -245,7 +243,7 @@ class ExperimentContext:
         prepared = self.session.prepare(spec)
         fault_list = prepared.fault_list
         baseline = prepared.comprehensive_campaign()
-        merlin_result = prepared.merlin_campaign(baseline).run()
+        merlin_result = MerlinCampaign(baseline).run()
         grouped = merlin_result.grouped
 
         # Baseline over the faults that hit vulnerable intervals (Figure 14's

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.grouping import group_faults
-from repro.core.intervals import build_interval_set
+from repro.core.merlin import reduce_fault_list
 from repro.core.reporting import TableReport
 from repro.experiments.common import ExperimentContext, ExperimentScale
 from repro.faults.campaign import ComprehensiveCampaign
@@ -29,12 +28,11 @@ def _simpoint_campaign(context: ExperimentContext, benchmark: str,
                        faults: int) -> Dict[str, ClassificationCounts]:
     """Run MeRLiN and the baseline in SimPoint mode for one benchmark."""
     golden = context.golden(benchmark, SPEC_CONFIG)
-    intervals = build_interval_set(golden.tracer, TargetStructure.RF)
     geometry = structure_geometry(TargetStructure.RF, SPEC_CONFIG)
     fault_list = generate_fault_list(
         geometry, golden.cycles, sample_size=faults, seed=context.scale.seed + 17
     )
-    grouped = group_faults(fault_list, intervals)
+    grouped = reduce_fault_list(golden, fault_list)
     # run_fault memoises by fault id: representatives are simulated once
     # for both columns.
     campaign = ComprehensiveCampaign(golden, fault_list, simpoint_mode=True)

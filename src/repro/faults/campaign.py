@@ -78,6 +78,21 @@ class CampaignResult:
         # empty fault list yields AVF 0 rather than a division by zero.
         return self.counts.avf()
 
+    @staticmethod
+    def tally(structure_name: str, benchmark_name: str,
+              outcomes: Iterable[Tuple[int, FaultEffectClass, int]],
+              wall_clock_seconds: float) -> "CampaignResult":
+        """Count ``(fault id, effect, simulated cycles)`` outcomes in order."""
+        result = CampaignResult(structure_name, benchmark_name,
+                                ClassificationCounts.empty(),
+                                wall_clock_seconds=wall_clock_seconds)
+        for fault_id, effect, cycles in outcomes:
+            result.counts.add(effect)
+            result.outcomes[fault_id] = effect
+            result.injections_performed += 1
+            result.simulated_cycles += cycles
+        return result
+
     def describe(self) -> str:
         return (
             f"{self.benchmark_name}/{self.structure_name}: "
@@ -156,28 +171,18 @@ class ComprehensiveCampaign:
             progress: Optional[ProgressCallback] = None) -> CampaignResult:
         """Inject ``faults`` (default: the full list) and aggregate the outcome.
 
-        :meth:`run_shard` plus classification counting in fault-list order.
+        :meth:`run_shard` plus :meth:`CampaignResult.tally` in fault-list order.
         """
         target = list(self.fault_list if faults is None else faults)
         started = time.perf_counter()  # repro-lint: disable=det-wallclock -- wall_clock_seconds is measurement, not identity
         shard = self.run_shard(target, progress)
-        counts = ClassificationCounts.empty()
-        outcomes: Dict[int, FaultEffectClass] = {}
-        simulated_cycles = 0
-        for fault in target:
-            outcome = shard[fault.fault_id]
-            counts.add(outcome.effect)
-            outcomes[fault.fault_id] = outcome.effect
-            simulated_cycles += outcome.result.cycles
         elapsed = time.perf_counter() - started  # repro-lint: disable=det-wallclock -- wall_clock_seconds is measurement, not identity
-        return CampaignResult(
-            structure_name=self.fault_list.structure.short_name,
-            benchmark_name=self.golden.program.name,
-            counts=counts,
-            outcomes=outcomes,
-            injections_performed=len(target),
-            wall_clock_seconds=elapsed,
-            simulated_cycles=simulated_cycles,
+        return CampaignResult.tally(
+            self.fault_list.structure.short_name,
+            self.golden.program.name,
+            ((fault.fault_id, shard[fault.fault_id].effect,
+              shard[fault.fault_id].result.cycles) for fault in target),
+            elapsed,
         )
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import CampaignSpec, ResultStore, Session
 from repro.api import session as session_module
-from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.merlin import MerlinCampaign
 from repro.faults.campaign import CampaignResult, ComprehensiveCampaign
 from repro.faults.golden import capture_golden
 from repro.faults.model import FaultList
@@ -47,6 +47,21 @@ def test_golden_and_fault_list_shared_across_methods(session):
     assert session.fault_list(sq_spec) is not session.fault_list(merlin_spec)
 
 
+
+def test_session_drops_fault_lists_nobody_holds():
+    """A long-lived session keeps a fault list only while a caller does."""
+    session = Session()
+    spec = tiny_spec(seed=7)
+    held = session.fault_list(spec)
+    assert session.fault_list(spec) is held
+    session.run(tiny_spec(seed=8))
+    assert session.cache_info()["fault_lists"] == 1
+    faults = list(held)
+    del held
+    assert session.cache_info()["fault_lists"] == 0
+    redrawn = session.fault_list(spec)
+    assert list(redrawn) == faults
+
 def test_session_matches_hand_wired_campaign(session):
     """Same seeds => same AVF as the pre-façade MerlinCampaign wiring."""
     spec = tiny_spec()
@@ -56,13 +71,7 @@ def test_session_matches_hand_wired_campaign(session):
     golden = capture_golden(program, CONFIG)
     geometry = structure_geometry(TargetStructure.RF, CONFIG)
     fault_list = generate_fault_list(geometry, golden.cycles, sample_size=60, seed=0)
-    campaign = MerlinCampaign(
-        program, CONFIG,
-        MerlinConfig(structure=TargetStructure.RF, initial_faults=60, seed=0),
-        golden=golden,
-    )
-    campaign.use_fault_list(fault_list)
-    reference = campaign.run()
+    reference = MerlinCampaign(ComprehensiveCampaign(golden, fault_list)).run()
 
     assert outcome.merlin.avf == reference.avf
     assert outcome.merlin.injections == reference.injections_performed
@@ -129,12 +138,7 @@ def test_merlin_campaign_progress_parity():
     golden = capture_golden(program, CONFIG)
     geometry = structure_geometry(TargetStructure.RF, CONFIG)
     fault_list = generate_fault_list(geometry, golden.cycles, sample_size=40, seed=2)
-    campaign = MerlinCampaign(
-        program, CONFIG,
-        MerlinConfig(structure=TargetStructure.RF, initial_faults=40, seed=2),
-        golden=golden,
-    )
-    campaign.use_fault_list(fault_list)
+    campaign = MerlinCampaign(ComprehensiveCampaign(golden, fault_list))
     events = []
     result = campaign.run(progress=lambda done, total: events.append((done, total)))
     assert [done for done, _ in events] == list(range(1, result.injections_performed + 1))

@@ -3,8 +3,15 @@
 import pytest
 
 from repro import obs
-from repro.api import CampaignSpec, ResultStore, make_engine
-from repro.cluster import ClusterEngine, JournalError, RunJournal
+from repro.api import CampaignSpec, ResultStore, Session, make_engine
+from repro.cluster import (
+    ClusterEngine,
+    JournalError,
+    MergeError,
+    RunJournal,
+    merge_shard_outcomes,
+)
+from repro.core.merlin import reduce_fault_list
 from repro.uarch.structures import TargetStructure
 
 
@@ -192,3 +199,22 @@ def test_unknown_workload_fails_in_planning(tmp_path):
     engine = ClusterEngine(max_workers=1, cache_dir=tmp_path / "cache")
     with pytest.raises(KeyError):
         engine.run([CampaignSpec(workload="no-such-workload", faults=10)])
+
+
+@pytest.mark.parametrize("method", ["merlin", "comprehensive"])
+def test_merge_names_the_run_and_the_missing_fault(method):
+    """A gap in the shard outcomes is a MergeError, not a mis-count."""
+    spec = tiny_spec(method=method)
+    prepared = Session().prepare(spec)
+    grouped = None
+    targets = list(prepared.fault_list)
+    if spec.runs_merlin:
+        grouped = reduce_fault_list(prepared.golden, prepared.fault_list)
+        targets = [group.representative for group in grouped.groups]
+    outcomes = {fault.fault_id: ("Masked", 1) for fault in targets}
+    missing = targets[-1].fault_id
+    del outcomes[missing]
+    with pytest.raises(MergeError) as error:
+        merge_shard_outcomes(prepared, grouped, outcomes)
+    assert spec.run_id() in str(error.value)
+    assert f"fault #{missing};" in str(error.value)

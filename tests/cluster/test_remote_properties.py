@@ -29,7 +29,7 @@ from repro.cluster.remote import Coordinator, validate_shard_payload
 from repro.cluster.shards import FaultShard, shard_faults
 from repro.cluster.transport import FakeTransport, ShardTask
 from repro.testing import small_config
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.structures import TargetStructure
 
 #: The full chaos vocabulary except ``fatal`` (which aborts by contract).
 ACTIONS = ["run", "run", "slow:2", "slow:5", "late:4", "late:8",
@@ -91,26 +91,22 @@ def merge_world(tmp_path_factory):
     )
     session = Session(checkpointing=True,
                       artifact_cache=ArtifactCache(cache_dir))
-    golden = session.golden(spec)
-    fault_list = session.fault_list(spec)
-    shards = shard_faults(spec.run_id(), list(fault_list),
-                          golden.checkpoints, 7)
+    prepared = session.prepare(spec)
+    shards = shard_faults(spec.run_id(), list(prepared.fault_list),
+                          prepared.golden.checkpoints, 7)
     payloads = [_execute_shard(spec, shard, cache_dir, None)
                 for shard in shards]
-    return spec, golden, fault_list, payloads
+    return prepared, payloads
 
 
 def merged_fingerprint(merge_world, order) -> str:
-    spec, golden, fault_list, payloads = merge_world
+    prepared, payloads = merge_world
     outcomes: dict = {}
     for position in order:
         for fault_id, (effect, cycles) in payloads[position]["outcomes"].items():
             outcomes[int(fault_id)] = (effect, cycles)
-    outcome = merge_shard_outcomes(
-        spec, golden,
-        structure_geometry(spec.structure, spec.config),
-        fault_list, None, outcomes, wall_clock_seconds=0.0,
-    )
+    outcome = merge_shard_outcomes(prepared, None, outcomes,
+                                   wall_clock_seconds=0.0)
     return outcome.classification_fingerprint()
 
 
@@ -118,7 +114,7 @@ def merged_fingerprint(merge_world, order) -> str:
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_merge_order_never_affects_fingerprint(merge_world, seed):
     reference = merged_fingerprint(
-        merge_world, range(len(merge_world[3])))
-    order = list(range(len(merge_world[3])))
+        merge_world, range(len(merge_world[1])))
+    order = list(range(len(merge_world[1])))
     random.Random(seed).shuffle(order)
     assert merged_fingerprint(merge_world, order) == reference

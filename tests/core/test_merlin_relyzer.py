@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.merlin import MerlinCampaign, reduce_fault_list
 from repro.core.relyzer import RelyzerCampaign
 from repro.core.timing import (
     CampaignTimeEstimate,
@@ -42,12 +42,7 @@ def baseline(golden, fault_list):
 
 @pytest.fixture(scope="module")
 def merlin_result(golden, fault_list, baseline):
-    campaign = MerlinCampaign(
-        golden.program, CONFIG, MerlinConfig(structure=TargetStructure.RF),
-        golden=golden, baseline=baseline,
-    )
-    campaign.use_fault_list(fault_list)
-    return campaign.run()
+    return MerlinCampaign(baseline).run()
 
 
 def test_merlin_covers_every_initial_fault(merlin_result, fault_list):
@@ -93,32 +88,18 @@ def test_merlin_ace_pruning_is_sound(merlin_result, baseline, fault_list):
         assert baseline.run_fault(fault).effect is FaultEffectClass.MASKED
 
 
-def test_merlin_without_shared_baseline_runs_standalone(golden, fault_list):
-    campaign = MerlinCampaign(
-        golden.program, CONFIG,
-        MerlinConfig(structure=TargetStructure.RF, initial_faults=40, seed=5),
-        golden=golden,
-    )
-    result = campaign.run()
+def test_merlin_without_shared_baseline_runs_standalone(golden):
+    geometry = structure_geometry(TargetStructure.RF, CONFIG)
+    fault_list = generate_fault_list(geometry, golden.cycles, sample_size=40, seed=5)
+    result = MerlinCampaign(ComprehensiveCampaign(golden, fault_list)).run()
     assert result.counts_final.total == 40
     assert result.injections_performed <= 40
 
 
-def test_merlin_requires_traced_golden():
+def test_merlin_requires_traced_golden(fault_list):
     record = capture_golden(build_loop_program(), CONFIG, trace=False)
-    campaign = MerlinCampaign(record.program, CONFIG,
-                              MerlinConfig(structure=TargetStructure.RF), golden=record)
-    with pytest.raises(ValueError):
-        _ = campaign.golden
-
-
-def test_merlin_rejects_mismatched_fault_list(golden):
-    campaign = MerlinCampaign(golden.program, CONFIG,
-                              MerlinConfig(structure=TargetStructure.RF), golden=golden)
-    geometry = structure_geometry(TargetStructure.SQ, CONFIG)
-    wrong = generate_fault_list(geometry, golden.cycles, sample_size=5, seed=1)
-    with pytest.raises(ValueError):
-        campaign.use_fault_list(wrong)
+    with pytest.raises(ValueError, match="traced golden run"):
+        reduce_fault_list(record, fault_list)
 
 
 def test_relyzer_campaign_covers_all_faults(golden, fault_list, baseline):

@@ -42,9 +42,8 @@ def _grouped(fault_effects):
             members.append(GroupedFault(fault=fault, interval=interval))
             outcomes[fault_id] = effect
             fault_id += 1
-        group = FaultGroup(rip=index, upc=0, byte=0, members=members)
-        group.representative = members[0].fault
-        groups.append(group)
+        groups.append(FaultGroup(rip=index, upc=0, byte=0, members=members,
+                                 representative=members[0].fault))
     grouped = GroupedFaults(
         structure_name="RF",
         initial_faults=fault_id,

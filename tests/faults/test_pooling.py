@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.intervals import build_interval_set
-from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.merlin import MerlinCampaign
 from repro.core.relyzer import RelyzerCampaign
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.testing import shared_fault_list, shared_loop_golden
@@ -101,12 +101,9 @@ def test_standalone_merlin_builds_one_cpu(cpus_built, use_checkpoints):
     golden = shared_loop_golden(trace=True)
     if use_checkpoints:
         golden.ensure_checkpoints()
-    campaign = MerlinCampaign(
-        golden.program, golden.config,
-        MerlinConfig(structure=TargetStructure.RF, initial_faults=60, seed=5,
-                     use_checkpoints=use_checkpoints),
-        golden=golden,
-    )
+    fault_list = shared_fault_list(golden, sample_size=60, seed=5)
+    campaign = MerlinCampaign(ComprehensiveCampaign(
+        golden, fault_list, use_checkpoints=use_checkpoints))
     del cpus_built[:]
     result = campaign.run()
     assert result.injections_performed > 1

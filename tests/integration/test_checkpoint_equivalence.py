@@ -160,17 +160,22 @@ def test_campaign_outcomes_identical_with_and_without_checkpoints():
 
 
 def test_merlin_campaign_identical_with_and_without_checkpoints():
-    from repro.core.merlin import MerlinCampaign, MerlinConfig
+    from repro.core.merlin import MerlinCampaign
+    from repro.faults.sampling import generate_fault_list
 
-    program = build_loop_program(30)
     config = small_config()
-    base = MerlinConfig(structure=TargetStructure.RF, initial_faults=150, seed=3)
-    cold = MerlinCampaign(program, config, base).run()
-    warm = MerlinCampaign(
-        build_loop_program(30), config,
-        MerlinConfig(structure=TargetStructure.RF, initial_faults=150, seed=3,
-                     use_checkpoints=True),
-    ).run()
+
+    def merlin(use_checkpoints):
+        golden = capture_golden(build_loop_program(30), config, trace=True)
+        fault_list = generate_fault_list(
+            structure_geometry(TargetStructure.RF, config), golden.cycles,
+            sample_size=150, seed=3,
+        )
+        return MerlinCampaign(ComprehensiveCampaign(
+            golden, fault_list, use_checkpoints=use_checkpoints)).run()
+
+    cold = merlin(False)
+    warm = merlin(True)
     assert warm.counts_final.counts == cold.counts_final.counts
     assert warm.predicted_outcomes == cold.predicted_outcomes
     assert warm.representative_outcomes == cold.representative_outcomes

@@ -9,7 +9,7 @@ estimator agrees with the comprehensive one.
 
 import pytest
 
-from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.merlin import MerlinCampaign
 from repro.core.metrics import coarse_homogeneity, fine_homogeneity, max_inaccuracy
 from repro.core.stats_model import analyze_groups
 from repro.faults.campaign import ComprehensiveCampaign
@@ -30,12 +30,7 @@ def _study(benchmark: str, structure: TargetStructure):
     geometry = structure_geometry(structure, CONFIG)
     fault_list = generate_fault_list(geometry, golden.cycles, sample_size=FAULTS, seed=13)
     baseline = ComprehensiveCampaign(golden, fault_list)
-    merlin = MerlinCampaign(
-        program, CONFIG, MerlinConfig(structure=structure),
-        golden=golden, baseline=baseline,
-    )
-    merlin.use_fault_list(fault_list)
-    merlin_result = merlin.run()
+    merlin_result = MerlinCampaign(baseline).run()
     baseline_result = baseline.run()
     return merlin_result, baseline_result
 
@@ -78,10 +73,7 @@ def test_ace_pruned_faults_are_all_masked_susan():
     geometry = structure_geometry(TargetStructure.RF, CONFIG)
     fault_list = generate_fault_list(geometry, golden.cycles, sample_size=60, seed=3)
     baseline = ComprehensiveCampaign(golden, fault_list)
-    merlin = MerlinCampaign(program, CONFIG, MerlinConfig(structure=TargetStructure.RF),
-                            golden=golden, baseline=baseline)
-    merlin.use_fault_list(fault_list)
-    result = merlin.run()
+    result = MerlinCampaign(baseline).run()
     pruned = [f for f in fault_list if f.fault_id in set(result.grouped.masked_fault_ids)]
     for fault in pruned[:15]:
         assert baseline.run_fault(fault).effect is FaultEffectClass.MASKED

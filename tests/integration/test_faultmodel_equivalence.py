@@ -28,7 +28,7 @@ import pytest
 from repro import obs
 from repro.api import CampaignSpec, SerialEngine, make_engine
 from repro.cluster import ClusterEngine
-from repro.core.merlin import MerlinCampaign, MerlinConfig
+from repro.core.merlin import MerlinCampaign
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
 from repro.faults.injector import inject_fault
@@ -211,15 +211,7 @@ def test_single_bit_campaigns_match_pre_refactor_fixture(index, fixture_payload)
         recorded["comprehensive_outcomes"]
     ), "comprehensive outcomes moved"
 
-    merlin = MerlinCampaign(
-        build_loop_program(30), config,
-        MerlinConfig(structure=structure,
-                     initial_faults=recorded["sample_size"],
-                     seed=recorded["seed"]),
-        golden=golden,
-    )
-    merlin.use_fault_list(faults)
-    mres = merlin.run()
+    mres = MerlinCampaign(ComprehensiveCampaign(golden, faults)).run()
     assert mres.injections_performed == recorded["merlin_injections"]
     assert {str(k): v.value for k, v in mres.predicted_outcomes.items()} == (
         recorded["merlin_predicted"]
