@@ -50,22 +50,17 @@ class SerialEngine:
     restores the nearest checkpoint at-or-before its fault's cycle and
     simulates only the tail, ending early when the faulty state
     reconverges exactly onto a later golden checkpoint.  Outcomes are
-    bit-identical either way — only wall clock changes.
-
-    ``checkpoint_interval`` tunes the snapshot spacing in cycles; the
-    default spreads ~32 checkpoints evenly over each golden run.  Smaller
-    intervals shorten the re-simulated tail but cost more snapshot memory
-    and capture time (see README, "Engines").
+    bit-identical either way — only wall clock changes.  Snapshots start
+    64 cycles apart and the spacing doubles whenever more than 32 accrue
+    (see README, "Checkpoint spacing").
     """
 
     progress_unit = "campaigns"
 
     def __init__(self, session: Optional[Session] = None,
-                 checkpointing: bool = False,
-                 checkpoint_interval: Optional[int] = None):
+                 checkpointing: bool = False):
         self.session = session
         self.checkpointing = checkpointing
-        self.checkpoint_interval = checkpoint_interval
 
     @property
     def name(self) -> str:
@@ -79,8 +74,7 @@ class SerialEngine:
     ) -> List[CampaignOutcome]:
         session = self.session
         if session is None:
-            session = Session(checkpointing=self.checkpointing,
-                              checkpoint_interval=self.checkpoint_interval)
+            session = Session(checkpointing=self.checkpointing)
         # Configure an injected session for this run only: an explicit
         # store wins over its own, and checkpointing is switched on for
         # this batch alone, so swapping engines never silently changes
@@ -90,8 +84,6 @@ class SerialEngine:
             overrides["store"] = store
         if self.checkpointing:
             overrides["checkpointing"] = True
-            if self.checkpoint_interval is not None:
-                overrides["checkpoint_interval"] = self.checkpoint_interval
         previous = {key: getattr(session, key) for key in overrides}
         for key, value in overrides.items():
             setattr(session, key, value)
@@ -128,7 +120,6 @@ _SHARDED = ("process", "cluster", "remote")
 
 
 def make_engine(name: str, max_workers: Optional[int] = None,
-                checkpoint_interval: Optional[int] = None,
                 shard_size: Optional[int] = None,
                 cache_dir: Optional[str] = None,
                 resume: bool = False,
@@ -138,8 +129,6 @@ def make_engine(name: str, max_workers: Optional[int] = None,
         raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
     for flag, value, engines in (
             ("workers", max_workers, ("process", "cluster")),
-            ("checkpoint_interval", checkpoint_interval,
-             ("checkpoint",) + _SHARDED),
             ("shard_size", shard_size, _SHARDED),
             ("cache_dir", cache_dir, _SHARDED),
             ("resume", resume or None, _SHARDED),
@@ -149,13 +138,8 @@ def make_engine(name: str, max_workers: Optional[int] = None,
                 f"{flag} does not apply to the {name} engine, only to "
                 f"{'/'.join(engines)}"
             )
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise ValueError(
-            f"checkpoint_interval must be >= 1 cycle, got {checkpoint_interval}"
-        )
     if name in ("serial", "checkpoint"):
-        return SerialEngine(checkpointing=name == "checkpoint",
-                            checkpoint_interval=checkpoint_interval)
+        return SerialEngine(checkpointing=name == "checkpoint")
     # Imported here: repro.cluster builds on this module's siblings.
     from repro.cluster.engine import ClusterEngine
 
@@ -174,6 +158,5 @@ def make_engine(name: str, max_workers: Optional[int] = None,
         shard_size=shard_size,
         cache_dir=cache_dir,
         resume=resume,
-        checkpoint_interval=checkpoint_interval,
         transport=transport,
     )

@@ -113,27 +113,24 @@ class Session:
 
     ``checkpointing`` switches every campaign this session runs onto the
     checkpoint fast-forward engine: golden runs additionally capture a
-    :class:`~repro.uarch.checkpoint.CheckpointTimeline` (lazily, verified
-    against the recorded golden result), and injection runs restore from
-    it instead of cold-starting.  Outcomes are bit-identical either way.
-    ``checkpoint_interval`` overrides the snapshot spacing in cycles
-    (default: spread ~32 checkpoints evenly over the golden run).
+    :class:`~repro.uarch.checkpoint.CheckpointTimeline` inline (a snapshot
+    every 64 cycles, thinned to at most 32 by doubling the spacing), and
+    injection runs restore from it instead of cold-starting.  Outcomes are
+    bit-identical either way.
 
     ``artifact_cache`` (a :class:`~repro.cluster.artifacts.ArtifactCache`)
-    adds an on-disk layer to the golden lookup: :meth:`golden` consults the
-    cache before simulating and persists what it builds, so distinct
-    processes — the cluster coordinator and its pool workers above all —
-    pay for each distinct golden run once per machine instead of once per
-    process.
+    adds an on-disk layer to a checkpointing session's golden lookup:
+    :meth:`golden` consults the cache before simulating and persists what
+    it builds, so distinct processes — the cluster coordinator and its
+    pool workers above all — pay for each distinct golden run once per
+    machine instead of once per process.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
                  checkpointing: bool = False,
-                 checkpoint_interval: Optional[int] = None,
                  artifact_cache=None):
         self.store = store
         self.checkpointing = checkpointing
-        self.checkpoint_interval = checkpoint_interval
         self.artifact_cache = artifact_cache
         self._custom_programs: Dict[str, Program] = {}
         self._programs: Dict[Tuple, Program] = {}
@@ -189,31 +186,21 @@ class Session:
     def golden(self, spec: CampaignSpec) -> GoldenRecord:
         """The traced golden/profiling run for the spec's workload+config.
 
-        Lookup order: in-memory memo, then the optional on-disk artifact
-        cache, then a fresh simulation (persisted back to the cache so the
-        next process warm-starts).
+        Lookup order: in-memory memo, then (checkpointing sessions only)
+        the on-disk artifact cache, then a fresh simulation (persisted
+        back to the cache so the next process warm-starts).
         """
         key = spec.golden_key()
-        # The requested snapshot spacing is part of the golden's on-disk
-        # identity: a checkpointing session captures the timeline inline
-        # during the one profiling run (the self-thinning timeline handles
-        # the unknown run length), and a cached coarse timeline must never
-        # silently satisfy a request for a different interval.
-        interval = None
-        if self.checkpointing:
-            interval = (self.checkpoint_interval
-                        if self.checkpoint_interval is not None
-                        else DEFAULT_INTERVAL)
-        # Custom programs are session-local: the on-disk cache only speaks
-        # registry identities, so a same-named program from another session
-        # must never be resurrected for one.
-        use_cache = (self.artifact_cache is not None
+        # An artifact key names one timeline policy — the inline capture
+        # below — so only a checkpointing session reads or writes the
+        # cache.  Custom programs are session-local: the on-disk cache
+        # only speaks registry identities, so a same-named program from
+        # another session must never be resurrected for one.
+        use_cache = (self.checkpointing
+                     and self.artifact_cache is not None
                      and spec.workload not in self._custom_programs)
         if key not in self._goldens:
-            cached = None
-            if use_cache:
-                cached = self.artifact_cache.load_golden(
-                    spec, checkpoint_interval=interval)
+            cached = self.artifact_cache.load_golden(spec) if use_cache else None
             if cached is not None:
                 self._goldens[key] = cached
             else:
@@ -224,20 +211,17 @@ class Session:
                 with obs.span("golden_build", workload=spec.workload):
                     self._goldens[key] = capture_golden(
                         program, spec.config, trace=True,
-                        checkpoint_interval=interval
+                        checkpoint_interval=(DEFAULT_INTERVAL
+                                             if self.checkpointing else None),
                     )
                 if use_cache:
-                    self.artifact_cache.store_golden(
-                        spec, self._goldens[key], checkpoint_interval=interval)
+                    self.artifact_cache.store_golden(spec, self._goldens[key])
         golden = self._goldens[key]
         if self.checkpointing and golden.checkpoints is None:
             # A golden captured earlier by a non-checkpointing run of this
-            # session (or cached without a timeline): add the timeline
-            # lazily (one replay, memoised) and refresh the artifact.
-            golden.ensure_checkpoints(self.checkpoint_interval)
-            if use_cache:
-                self.artifact_cache.store_golden(
-                    spec, golden, checkpoint_interval=interval)
+            # session: add the timeline lazily (one replay, memoised).  It
+            # is not a timeline the artifact key names, so it is not stored.
+            golden.ensure_checkpoints()
         return golden
 
     def fault_list(self, spec: CampaignSpec) -> FaultList:

@@ -67,7 +67,6 @@ def _store_from(args: argparse.Namespace) -> Optional[ResultStore]:
 def _engine_from(args: argparse.Namespace):
     return make_engine(
         args.engine, max_workers=args.workers,
-        checkpoint_interval=args.checkpoint_interval,
         shard_size=args.shard_size, cache_dir=args.cache_dir,
         resume=args.resume, hosts=args.hosts,
     )
@@ -428,7 +427,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     journal = RunJournal.load(Path(args.cache_dir) / "journals", args.run_id)
     engine = make_engine(
         "remote" if args.hosts else "cluster", max_workers=args.workers,
-        checkpoint_interval=journal.checkpoint_interval,
         shard_size=journal.shard_size, cache_dir=args.cache_dir, resume=True,
         hosts=args.hosts,
     )
@@ -574,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "agents via --hosts (default serial)")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="process/cluster worker count (default: cores)")
-    run_parser.add_argument("--checkpoint-interval", type=int, default=None,
-                            metavar="CYCLES",
-                            help="checkpoint/cluster engine snapshot spacing "
-                                 "(default: ~32 checkpoints per golden run)")
     _add_model_flags(run_parser)
     _add_cluster_flags(run_parser)
     _add_obs_flags(run_parser)
@@ -607,10 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="execution engine (default serial)")
     sweep_parser.add_argument("--workers", type=int, default=None,
                               help="process/cluster worker count (default: cores)")
-    sweep_parser.add_argument("--checkpoint-interval", type=int, default=None,
-                              metavar="CYCLES",
-                              help="checkpoint/cluster engine snapshot spacing "
-                                   "(default: ~32 checkpoints per golden run)")
     _add_model_flags(sweep_parser)
     _add_cluster_flags(sweep_parser)
     _add_obs_flags(sweep_parser)

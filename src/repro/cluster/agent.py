@@ -208,16 +208,14 @@ class AgentServer:
         from repro.api.spec import CampaignSpec
 
         spec = CampaignSpec.from_dict(frame["spec"])
-        _worker_golden(spec, self.cache_dir, frame.get("checkpoint_interval"))
+        _worker_golden(spec, self.cache_dir)
         return {"kind": "warmed", "task_id": frame.get("task_id")}
 
     def _do_shard(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         from repro.cluster.engine import _run_shard_worker
 
-        payload = _run_shard_worker(
-            frame["spec"], frame["shard"], self.cache_dir,
-            frame.get("checkpoint_interval"), bool(frame.get("obs")),
-        )
+        payload = _run_shard_worker(frame["spec"], frame["shard"],
+                                    self.cache_dir, bool(frame.get("obs")))
         return {"kind": "result", "task_id": frame.get("task_id"),
                 "payload": payload}
 

@@ -51,11 +51,6 @@ ARTIFACT_SCHEMA_VERSION = 1
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3
 
-#: Cache-event name -> the plain counter attribute it bumps.
-_EVENT_ATTRS = {
-    "hit": "hits", "miss": "misses", "store": "stores", "evict": "evictions",
-}
-
 CRASH_CACHE_PRE_REPLACE = register_crash_point(
     "cache.store.pre_replace",
     "golden artifact temp file fsynced, atomic rename not yet performed",
@@ -66,18 +61,15 @@ CRASH_CACHE_POST_REPLACE = register_crash_point(
 )
 
 
-def golden_cache_key(spec: CampaignSpec,
-                     checkpoint_interval: Optional[int] = None) -> str:
+def golden_cache_key(spec: CampaignSpec) -> str:
     """Content hash of the golden identity this cache speaks.
 
-    The identity is (workload, scale, config) *plus* everything that can
-    legitimately change what the artifact contains: the requested
-    checkpoint interval (different intervals produce different timelines —
-    a coarse cached timeline must never silently satisfy a
-    ``--checkpoint-interval`` request, nor derail a resumed run's
-    deterministic shard plan) and the package version (a simulator whose
-    semantics changed must never warm-start from a previous version's
-    golden, which would break the bit-identical-to-serial invariant).
+    The identity is (workload, scale, config) *plus* the artifact schema
+    and the package version (a simulator whose semantics changed must
+    never warm-start from a previous version's golden, which would break
+    the bit-identical-to-serial invariant).  The checkpoint timeline is
+    not part of the key: only a checkpointing session's inline capture,
+    under one fixed spacing policy, is ever stored.
     """
     payload = {
         "schema": ARTIFACT_SCHEMA_VERSION,
@@ -85,7 +77,6 @@ def golden_cache_key(spec: CampaignSpec,
         "workload": spec.workload,
         "scale": spec.scale,
         "config": config_to_dict(spec.config),
-        "checkpoint_interval": checkpoint_interval,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -103,12 +94,6 @@ class ArtifactCache:
         self.fs = fs if fs is not None else default_fs()
         self.retry = retry if retry is not None else disk_retry_policy()
         self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        #: Times the cache fell back to rebuild-from-scratch behaviour.
-        self.degraded_events = 0
         #: Permanently degraded: the cache root itself is unusable.
         self.degraded = False
         try:
@@ -124,36 +109,29 @@ class ArtifactCache:
             self.degraded = True
 
     def _count(self, event: str) -> None:
-        """Bump the plain attribute and mirror it into the active obs
-        context (role-labelled), keeping the two accountings in lockstep."""
-        setattr(self, _EVENT_ATTRS[event],
-                getattr(self, _EVENT_ATTRS[event]) + 1)
+        """Count a cache event in the active obs context (role-labelled)."""
         obs_ctx = obs.active()
         if obs_ctx is not None:
             obs_ctx.cache_event(event)
 
     def _degrade(self) -> None:
-        self.degraded_events += 1
+        """Count one fall-back to rebuild-from-scratch behaviour."""
         obs_ctx = obs.active()
         if obs_ctx is not None:
             obs_ctx.cache_degraded()
 
     # ------------------------------------------------------------------
-    def golden_path(self, spec: CampaignSpec,
-                    checkpoint_interval: Optional[int] = None) -> Path:
-        return self.golden_dir / f"{golden_cache_key(spec, checkpoint_interval)}.pkl"
+    def golden_path(self, spec: CampaignSpec) -> Path:
+        return self.golden_dir / f"{golden_cache_key(spec)}.pkl"
 
-    def has_golden(self, spec: CampaignSpec,
-                   checkpoint_interval: Optional[int] = None) -> bool:
+    def has_golden(self, spec: CampaignSpec) -> bool:
         if self.degraded:
             return False
-        return self.fs.exists(self.golden_path(spec, checkpoint_interval))
+        return self.fs.exists(self.golden_path(spec))
 
-    def load_golden(self, spec: CampaignSpec,
-                    checkpoint_interval: Optional[int] = None,
-                    ) -> Optional[GoldenRecord]:
+    def load_golden(self, spec: CampaignSpec) -> Optional[GoldenRecord]:
         """The cached golden for the spec's identity, or ``None`` on a miss."""
-        key = golden_cache_key(spec, checkpoint_interval)
+        key = golden_cache_key(spec)
         path = self.golden_dir / f"{key}.pkl"
         if self.degraded:
             self._count("miss")
@@ -183,15 +161,14 @@ class ArtifactCache:
         self._touch(path)
         return golden
 
-    def store_golden(self, spec: CampaignSpec, golden: GoldenRecord,
-                     checkpoint_interval: Optional[int] = None) -> Path:
+    def store_golden(self, spec: CampaignSpec, golden: GoldenRecord) -> Path:
         """Atomically persist ``golden`` (timeline included); return the path.
 
         Best-effort: a store that still fails after the transient-error
         retries degrades (the golden simply is not cached) rather than
         failing the campaign that produced it.
         """
-        key = golden_cache_key(spec, checkpoint_interval)
+        key = golden_cache_key(spec)
         path = self.golden_dir / f"{key}.pkl"
         if self.degraded:
             return path
@@ -278,14 +255,6 @@ class ArtifactCache:
                 return
 
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
-
     def describe(self) -> str:
         artifacts = len(list(self._artifacts()))
         return f"ArtifactCache({self.root}, {artifacts} goldens)"

@@ -76,41 +76,33 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Per-process sessions keyed by (cache dir, interval): a long-lived pool
-#: worker pays the artifact load once per distinct golden (the session's
-#: in-memory memo), not once per shard.
-_WORKER_SESSIONS: Dict[Tuple[str, Optional[int]], Session] = {}
+#: Per-process sessions keyed by cache dir: a long-lived pool worker pays
+#: the artifact load once per distinct golden (the session's in-memory
+#: memo), not once per shard.
+_WORKER_SESSIONS: Dict[str, Session] = {}
 
 
-def _worker_golden(spec: CampaignSpec, cache_dir: str,
-                   checkpoint_interval: Optional[int]) -> Tuple[GoldenRecord, bool]:
+def _worker_golden(spec: CampaignSpec, cache_dir: str) -> GoldenRecord:
     """The golden for ``spec`` in this worker process: memo, cache, or build.
 
     Uses the *same* :meth:`Session.golden` lookup path as the coordinator
-    (identical interval resolution and artifact identity), so the two can
-    never drift.  Returns ``(golden, machine_cache_hit)``; the coordinator
-    stores every golden before sharding, so the build fallback only fires
-    when the artifact was evicted (or an external process wiped the cache)
-    between planning and execution — correctness never depends on the
-    cache.
+    (identical timeline policy and artifact identity), so the two can
+    never drift.  The coordinator stores every golden before sharding, so
+    the build fallback only fires when the artifact was evicted (or an
+    external process wiped the cache) between planning and execution —
+    correctness never depends on the cache.  Hits and misses are counted
+    by the cache in :mod:`repro.obs` (``role="worker"``).
     """
-    key = (str(cache_dir), checkpoint_interval)
-    session = _WORKER_SESSIONS.get(key)
+    session = _WORKER_SESSIONS.get(str(cache_dir))
     if session is None:
-        session = Session(
-            checkpointing=True,
-            checkpoint_interval=checkpoint_interval,
-            artifact_cache=ArtifactCache(cache_dir),
-        )
-        _WORKER_SESSIONS[key] = session
-    misses_before = session.artifact_cache.misses
-    golden = session.golden(spec)
-    return golden, session.artifact_cache.misses == misses_before
+        session = Session(checkpointing=True,
+                          artifact_cache=ArtifactCache(cache_dir))
+        _WORKER_SESSIONS[str(cache_dir)] = session
+    return session.golden(spec)
 
 
 def _run_shard_worker(spec_dict: Dict[str, Any], shard_dict: Dict[str, Any],
                       cache_dir: str,
-                      checkpoint_interval: Optional[int],
                       obs_enabled: bool = False) -> Dict[str, Any]:
     """Pool worker: warm-load the golden, inject one shard, return outcomes.
 
@@ -123,22 +115,21 @@ def _run_shard_worker(spec_dict: Dict[str, Any], shard_dict: Dict[str, Any],
     spec = CampaignSpec.from_dict(spec_dict)
     shard = FaultShard.from_dict(shard_dict)
     if not obs_enabled:
-        return {**_execute_shard(spec, shard, cache_dir, checkpoint_interval),
-                "obs": None}
+        return {**_execute_shard(spec, shard, cache_dir), "obs": None}
     with obs.observe(role="worker") as obs_ctx:
         started = time.perf_counter()
         with obs_ctx.span("shard", shard_id=shard.shard_id(),
                           run_id=spec.run_id()):
-            payload = _execute_shard(spec, shard, cache_dir, checkpoint_interval)
+            payload = _execute_shard(spec, shard, cache_dir)
         obs_ctx.shard_executed(time.perf_counter() - started)
         payload["obs"] = obs_ctx.drain_payload()
         return payload
 
 
-def _execute_shard(spec: CampaignSpec, shard: FaultShard, cache_dir: str,
-                   checkpoint_interval: Optional[int]) -> Dict[str, Any]:
+def _execute_shard(spec: CampaignSpec, shard: FaultShard,
+                   cache_dir: str) -> Dict[str, Any]:
     """The observability-free core of :func:`_run_shard_worker`."""
-    golden, cache_hit = _worker_golden(spec, cache_dir, checkpoint_interval)
+    golden = _worker_golden(spec, cache_dir)
     faults = shard.fault_specs()
     campaign = ComprehensiveCampaign(
         golden,
@@ -148,7 +139,6 @@ def _execute_shard(spec: CampaignSpec, shard: FaultShard, cache_dir: str,
     outcomes = campaign.run_shard(faults)
     return {
         "shard_id": shard.shard_id(),
-        "golden_cache_hit": cache_hit,
         "outcomes": {
             str(fault_id): [outcome.effect.value, outcome.result.cycles]
             for fault_id, outcome in outcomes.items()
@@ -182,8 +172,7 @@ class ClusterEngine:
     shards are always preserved and reused on the next run of the same
     plan (see :meth:`_journal_for`); ``resume=True`` makes that strict —
     the journal must exist and match the plan, or the run fails instead
-    of starting over.  ``checkpoint_interval`` tunes golden snapshot
-    spacing exactly as for the checkpointing serial engine.
+    of starting over.
 
     Shards execute on ``transport``: by default a
     :class:`~repro.cluster.transport.LocalPoolTransport` of
@@ -203,7 +192,6 @@ class ClusterEngine:
                  shard_size: Optional[int] = None,
                  cache_dir: Union[str, Path, None] = None,
                  resume: bool = False,
-                 checkpoint_interval: Optional[int] = None,
                  transport: Optional[WorkerTransport] = None,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT):
         if shard_size is not None and shard_size < 1:
@@ -217,7 +205,6 @@ class ClusterEngine:
         self.shard_size = shard_size if shard_size is not None else DEFAULT_SHARD_SIZE
         self.cache_dir = Path(cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
         self.resume = resume
-        self.checkpoint_interval = checkpoint_interval
         self.transport = transport
         self.lease_timeout = lease_timeout
 
@@ -236,7 +223,6 @@ class ClusterEngine:
         session = Session(
             store=None,  # outcome persistence is the coordinator's job
             checkpointing=True,
-            checkpoint_interval=self.checkpoint_interval,
             artifact_cache=cache,
         )
         outcomes: List[Optional[CampaignOutcome]] = [None] * len(specs)
@@ -303,13 +289,12 @@ class ClusterEngine:
         for plan in pending_plans:
             plan.started = time.perf_counter()
             spec_dict = plan.prepared.spec.to_dict()
-            warm_key = golden_cache_key(plan.prepared.spec, self.checkpoint_interval)
+            warm_key = golden_cache_key(plan.prepared.spec)
             for shard in plan.pending.values():
                 task = ShardTask(
                     task_id=f"{plan.index}:{shard.shard_id()}",
                     spec=spec_dict,
                     shard=shard.to_dict(),
-                    checkpoint_interval=self.checkpoint_interval,
                     obs_enabled=obs_ctx is not None,
                     warm_key=warm_key,
                 )
@@ -419,11 +404,8 @@ class ClusterEngine:
             )
         if existing is not None and (self.resume or not existing.merged):
             return existing
-        return RunJournal.create(
-            self.journal_dir, spec, shards,
-            shard_size=self.shard_size,
-            checkpoint_interval=self.checkpoint_interval,
-        )
+        return RunJournal.create(self.journal_dir, spec, shards,
+                                 shard_size=self.shard_size)
 
     def _absorb(self, plan: _CampaignPlan, shard: FaultShard,
                 payload: Dict[str, Any]) -> None:
@@ -432,8 +414,7 @@ class ClusterEngine:
             int(fault_id): (effect, cycles)
             for fault_id, (effect, cycles) in payload["outcomes"].items()
         }
-        cache_hit = bool(payload.get("golden_cache_hit"))
-        plan.journal.record_shard(shard, outcomes, golden_cache_hit=cache_hit)
+        plan.journal.record_shard(shard, outcomes)
         plan.outcomes.update(outcomes)
         del plan.pending[shard.shard_id()]
 

@@ -111,14 +111,13 @@ class RunJournal:
 
     def __init__(self, path: Path, header: Dict[str, Any],
                  completed: Optional[Dict[str, ShardOutcomes]] = None,
-                 cache_hits: int = 0, merged: bool = False,
+                 merged: bool = False,
                  fs: Optional[Fs] = None,
                  retry: Optional[RetryPolicy] = None):
         self.path = path
         self.header = header
         #: shard_id -> journaled per-fault outcomes.
         self.completed: Dict[str, ShardOutcomes] = dict(completed or {})
-        self.worker_cache_hits = cache_hits
         self.merged = merged
         self.fs = fs if fs is not None else default_fs()
         self.retry = retry if retry is not None else disk_retry_policy()
@@ -133,7 +132,6 @@ class RunJournal:
         spec: CampaignSpec,
         shards: Sequence[FaultShard],
         shard_size: int,
-        checkpoint_interval: Optional[int] = None,
         fs: Optional[Fs] = None,
     ) -> "RunJournal":
         """Start a fresh journal (truncating any previous one for this run)."""
@@ -147,7 +145,6 @@ class RunJournal:
             "run_id": spec.run_id(),
             "spec": spec.to_dict(),
             "shard_size": shard_size,
-            "checkpoint_interval": checkpoint_interval,
             "total_shards": len(shards),
             "shard_ids": [shard.shard_id() for shard in shards],
         }
@@ -208,7 +205,6 @@ class RunJournal:
 
         header: Optional[Dict[str, Any]] = None
         completed: Dict[str, ShardOutcomes] = {}
-        cache_hits = 0
         merged = False
         for position, line in enumerate(lines):
             try:
@@ -260,13 +256,11 @@ class RunJournal:
                     int(fault_id): (effect, cycles)
                     for fault_id, (effect, cycles) in record["outcomes"].items()
                 }
-                if record.get("golden_cache_hit"):
-                    cache_hits += 1
             elif kind == "merged":
                 merged = True
         if header is None:
             raise JournalError(f"journal {path} has no header line")
-        return cls(path, header, completed, cache_hits, merged, fs=active_fs)
+        return cls(path, header, completed, merged, fs=active_fs)
 
     @staticmethod
     def exists(journal_dir: Union[str, Path], run_id: str,
@@ -321,14 +315,12 @@ class RunJournal:
         if obs_ctx is not None:
             obs_ctx.journal_append()
 
-    def record_shard(self, shard: FaultShard, outcomes: ShardOutcomes,
-                     golden_cache_hit: bool = False) -> None:
+    def record_shard(self, shard: FaultShard, outcomes: ShardOutcomes) -> None:
         shard_id = shard.shard_id()
         record = {
             "kind": "shard",
             "shard_id": shard_id,
             "index": shard.index,
-            "golden_cache_hit": bool(golden_cache_hit),
             "outcomes": {
                 str(fault_id): [effect, cycles]
                 for fault_id, (effect, cycles) in outcomes.items()
@@ -336,8 +328,6 @@ class RunJournal:
         }
         self._append_record(record)
         self.completed[shard_id] = dict(outcomes)
-        if golden_cache_hit:
-            self.worker_cache_hits += 1
 
     def record_merged(self, stats: Optional[Dict[str, Any]] = None) -> None:
         record = {"kind": "merged", "run_id": self.run_id, "stats": stats or {}}
@@ -359,10 +349,6 @@ class RunJournal:
     def shard_size(self) -> int:
         return self.header["shard_size"]
 
-    @property
-    def checkpoint_interval(self) -> Optional[int]:
-        return self.header.get("checkpoint_interval")
-
     def spec(self) -> CampaignSpec:
         return CampaignSpec.from_dict(self.header["spec"])
 
@@ -374,8 +360,8 @@ class RunJournal:
         """Check the journal describes exactly this (spec, shard) plan.
 
         Sharding is deterministic, so a mismatch means the journal belongs
-        to a different campaign or was produced with different engine knobs
-        (shard size, checkpoint interval) — resuming over it would merge
+        to a different campaign or was produced with a different shard
+        size — resuming over it would merge
         outcomes of the wrong faults.
         """
         if self.header["spec"] != spec.to_dict():
@@ -389,5 +375,5 @@ class RunJournal:
                 f"journal {self.path} shard plan does not match "
                 f"(journaled {len(self.shard_ids)} shards, derived "
                 f"{len(planned)}); was it written with a different "
-                f"--shard-size or checkpoint interval?"
+                f"--shard-size?"
             )

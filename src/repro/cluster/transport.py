@@ -199,7 +199,6 @@ class ShardTask:
     task_id: str
     spec: Dict[str, Any]
     shard: Dict[str, Any]
-    checkpoint_interval: Optional[int]
     obs_enabled: bool
     warm_key: str = ""
 
@@ -324,8 +323,7 @@ class LocalPoolTransport:
 
         future = self._pool.submit(
             _engine._run_shard_worker,
-            task.spec, task.shard, str(self.cache_dir),
-            task.checkpoint_interval, task.obs_enabled,
+            task.spec, task.shard, str(self.cache_dir), task.obs_enabled,
         )
         self._futures[future] = (host, task)
 
@@ -541,8 +539,7 @@ class FakeTransport:
         from repro.cluster import engine as _engine
 
         return _engine._run_shard_worker(
-            task.spec, task.shard, str(self.cache_dir),
-            task.checkpoint_interval, task.obs_enabled,
+            task.spec, task.shard, str(self.cache_dir), task.obs_enabled,
         )
 
     @staticmethod
@@ -697,7 +694,6 @@ class TcpAgentTransport:
             "kind": "warm",
             "task_id": task.task_id,
             "spec": task.spec,
-            "checkpoint_interval": task.checkpoint_interval,
         })
 
     def dispatch(self, host: str, task: ShardTask) -> None:
@@ -706,7 +702,6 @@ class TcpAgentTransport:
             "task_id": task.task_id,
             "spec": task.spec,
             "shard": task.shard,
-            "checkpoint_interval": task.checkpoint_interval,
             "obs": task.obs_enabled,
         })
 

@@ -54,27 +54,23 @@ class GoldenRecord:
     # ------------------------------------------------------------------
     # Checkpoint access
     # ------------------------------------------------------------------
-    def ensure_checkpoints(
-        self,
-        interval: Optional[int] = None,
-        max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
-    ) -> CheckpointTimeline:
+    def ensure_checkpoints(self, interval: Optional[int] = None) -> CheckpointTimeline:
         """Capture the checkpoint timeline, replaying the golden run if needed.
 
         The replay runs untraced (tracing does not influence simulation
         dynamics) and is verified to reproduce the recorded golden result
         bit for bit before the checkpoints are accepted.  ``interval``
-        defaults to roughly ``cycles / max_checkpoints``, spreading the
-        snapshots evenly over the run.  Idempotent: an already-captured
-        timeline is returned as is — including an *empty* one (a run
-        shorter than its checkpoint interval), which would otherwise
-        trigger a futile full replay on every call.
+        defaults to ``max(16, cycles // DEFAULT_MAX_CHECKPOINTS)``,
+        spreading the snapshots evenly over the run.  Idempotent: an
+        already-captured timeline is returned as is — including an *empty*
+        one (a run shorter than its checkpoint interval), which would
+        otherwise trigger a futile full replay on every call.
         """
         if self.checkpoints is not None:
             return self.checkpoints
         if interval is None:
-            interval = max(16, self.cycles // max_checkpoints)
-        timeline = CheckpointTimeline(interval, max_checkpoints)
+            interval = max(16, self.cycles // DEFAULT_MAX_CHECKPOINTS)
+        timeline = CheckpointTimeline(interval)
         # Replays record structure reads: the timeline's snapshots must be
         # comparable against fast-forwarded injection runs, which record.
         cpu = OutOfOrderCpu(self.program, self.config, record_reads=True)
@@ -100,7 +96,6 @@ def capture_golden(
     max_cycles: int = 5_000_000,
     max_instructions: Optional[int] = None,
     checkpoint_interval: Optional[int] = None,
-    max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
 ) -> GoldenRecord:
     """Run ``program`` fault-free and capture its architectural outcome.
 
@@ -117,7 +112,7 @@ def capture_golden(
     tracer = AccessTracer(enabled=trace)
     timeline: Optional[CheckpointTimeline] = None
     if checkpoint_interval is not None:
-        timeline = CheckpointTimeline(checkpoint_interval, max_checkpoints)
+        timeline = CheckpointTimeline(checkpoint_interval)
     cpu = OutOfOrderCpu(program, config, tracer=tracer,
                         record_reads=True if timeline is not None else None)
     result = cpu.run(

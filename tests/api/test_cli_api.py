@@ -44,7 +44,7 @@ def test_run_with_checkpoint_engine_matches_serial(capsys):
     code, serial_out = run_cli(capsys, argv)
     assert code == 0
     code, checkpoint_out = run_cli(
-        capsys, argv + ["--engine", "checkpoint", "--checkpoint-interval", "64"]
+        capsys, argv + ["--engine", "checkpoint"]
     )
     assert code == 0
     serial_payload = json.loads(serial_out)
@@ -120,6 +120,19 @@ def test_cli_converts_validation_errors(capsys):
         cli.main(["run", "--workload", "sha", "--faults", "0", "--scale", "1"])
     err = capsys.readouterr().err
     assert "repro: error:" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--workload", "sha"],
+    ["sweep", "--workloads", "sha"],
+])
+def test_checkpoint_spacing_is_not_a_cli_option(capsys, command):
+    """The timeline policy is fixed; there is no spacing flag to pass."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(command + ["--engine", "checkpoint",
+                            "--checkpoint-interval", "64"])
+    assert exit_info.value.code == 2
+    assert "--checkpoint-interval" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_workload():

@@ -129,9 +129,8 @@ def test_make_engine():
     process = make_engine("process", max_workers=3)
     assert isinstance(process, ClusterEngine)
     assert process.max_workers == 3 and process.transport is None
-    checkpoint = make_engine("checkpoint", checkpoint_interval=50)
+    checkpoint = make_engine("checkpoint")
     assert isinstance(checkpoint, SerialEngine) and checkpoint.checkpointing
-    assert checkpoint.checkpoint_interval == 50
     with pytest.raises(ValueError):
         make_engine("distributed")
     # A worker count the engine would ignore, or one that cannot size a
@@ -143,13 +142,6 @@ def test_make_engine():
         make_engine("process", max_workers=0)
     with pytest.raises(ValueError, match=">= 1"):
         make_engine("cluster", max_workers=0)
-    # A checkpoint interval with a non-checkpoint engine is a user error,
-    # not something to accept and silently discard — as is a nonsensical
-    # interval value.
-    with pytest.raises(ValueError, match="checkpoint_interval"):
-        make_engine("serial", checkpoint_interval=50)
-    with pytest.raises(ValueError, match=">= 1"):
-        make_engine("checkpoint", checkpoint_interval=0)
 
 
 def test_checkpoint_engine_matches_serial_bit_for_bit(tmp_path):
@@ -167,7 +159,7 @@ def test_checkpoint_engine_configures_injected_session_for_the_run_only():
     from repro.api import Session
 
     session = Session()
-    engine = SerialEngine(session, checkpointing=True, checkpoint_interval=64)
+    engine = SerialEngine(session, checkpointing=True)
     engine.run(tiny_sweep()[:1])
     # The run itself used checkpointing...
     golden = next(iter(session._goldens.values()))
@@ -175,7 +167,6 @@ def test_checkpoint_engine_configures_injected_session_for_the_run_only():
     # ...but the shared session is handed back unchanged, so a later
     # SerialEngine batch through it stays on the cold-start path.
     assert not session.checkpointing
-    assert session.checkpoint_interval is None
 
 
 def test_store_listing_and_delete(tmp_path):

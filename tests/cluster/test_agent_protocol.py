@@ -144,7 +144,8 @@ def test_unknown_kind_fails_closed(client):
 
 def test_worker_exception_reports_failed_not_silence(client):
     # A shard frame whose spec cannot even be parsed: the agent answers a
-    # typed non-transient failure instead of tearing the connection.
+    # typed non-transient failure instead of tearing the connection.  The
+    # frame also carries a key older coordinators sent, which is ignored.
     shake(client)
     client.send({"kind": "shard", "task_id": "bad", "spec": {},
                  "shard": {}, "checkpoint_interval": None, "obs": False})

@@ -4,9 +4,12 @@ import pickle
 
 import pytest
 
+from repro import obs
+from repro.api.session import Session
 from repro.api.spec import CampaignSpec
 from repro.cluster.artifacts import ArtifactCache, golden_cache_key
 from repro.testing import small_config
+from repro.uarch.checkpoint import DEFAULT_INTERVAL
 from repro.uarch.structures import TargetStructure
 from repro.workloads import get_workload
 
@@ -23,8 +26,13 @@ def golden(spec):
 
     program = get_workload(spec.workload).build(spec.scale)
     record = capture_golden(program, spec.config, trace=True,
-                            checkpoint_interval=64)
+                            checkpoint_interval=DEFAULT_INTERVAL)
     return record
+
+
+def cache_events(registry, kind):
+    return registry.value(f"repro_artifact_cache_{kind}_total",
+                          role="main") or 0.0
 
 
 def test_key_is_stable_and_config_sensitive(spec):
@@ -38,26 +46,60 @@ def test_key_is_stable_and_config_sensitive(spec):
     )
 
 
-def test_key_depends_on_interval_and_simulator_version(spec, monkeypatch):
-    """A coarse cached timeline must never satisfy a finer request, and a
-    new simulator version must never warm-start from an old golden."""
-    assert golden_cache_key(spec, 16) != golden_cache_key(spec, 64)
-    assert golden_cache_key(spec, 16) != golden_cache_key(spec, None)
+def test_key_depends_only_on_schema_simulator_workload_scale_config(
+        spec, monkeypatch):
+    """The key hashes exactly five fields; a new simulator version or
+    artifact schema must never warm-start from an old golden."""
+    import hashlib
+    import json
 
     import repro.cluster.artifacts as artifacts_module
+    from repro.api.spec import config_to_dict
 
-    before = golden_cache_key(spec, 16)
+    canonical = json.dumps({
+        "schema": artifacts_module.ARTIFACT_SCHEMA_VERSION,
+        "simulator": artifacts_module.__version__,
+        "workload": spec.workload,
+        "scale": spec.scale,
+        "config": config_to_dict(spec.config),
+    }, sort_keys=True, separators=(",", ":"))
+    assert golden_cache_key(spec) == hashlib.sha256(
+        canonical.encode("utf-8")).hexdigest()[:16]
+
+    before = golden_cache_key(spec)
     monkeypatch.setattr(artifacts_module, "__version__", "999.0.0")
-    assert golden_cache_key(spec, 16) != before
+    assert golden_cache_key(spec) != before
+    monkeypatch.undo()
+    monkeypatch.setattr(artifacts_module, "ARTIFACT_SCHEMA_VERSION", 999)
+    assert golden_cache_key(spec) != before
+
+
+def test_lazily_built_timeline_is_not_stored(tmp_path, spec):
+    """A session that runs cold and then checkpointing replays a timeline
+    for its memoised golden; that timeline is not the one the artifact key
+    names, so it must not land in the cache."""
+    cache = ArtifactCache(tmp_path)
+    session = Session(artifact_cache=cache)
+    with obs.observe() as ctx:
+        cold = session.golden(spec)
+        assert cold.checkpoints is None
+        session.checkpointing = True
+        warm = session.golden(spec)
+    assert warm is cold and warm.checkpoints is not None
+    assert not cache.has_golden(spec)
+    assert cache_events(ctx.registry, "stores") == 0.0
+    assert cache_events(ctx.registry, "misses") == 0.0, (
+        "a cold session must not consult the cache either")
 
 
 def test_round_trip_preserves_golden_and_timeline(tmp_path, spec, golden):
     cache = ArtifactCache(tmp_path)
-    assert cache.load_golden(spec) is None
-    assert cache.misses == 1
-    cache.store_golden(spec, golden)
-    loaded = cache.load_golden(spec)
-    assert cache.hits == 1
+    with obs.observe() as ctx:
+        assert cache.load_golden(spec) is None
+        cache.store_golden(spec, golden)
+        loaded = cache.load_golden(spec)
+    assert cache_events(ctx.registry, "misses") == 1.0
+    assert cache_events(ctx.registry, "hits") == 1.0
     assert loaded.result == golden.result
     assert loaded.program.name == golden.program.name
     assert loaded.commit_log == golden.commit_log
@@ -110,13 +152,9 @@ def test_lru_eviction_respects_cap(tmp_path, spec, golden):
     old = cache.golden_path(spec)
     stamp = old.stat().st_mtime - 60
     os.utime(old, (stamp, stamp))
-    capped.store_golden(other, golden)
-    assert capped.evictions >= 1
+    with obs.observe() as ctx:
+        capped.store_golden(other, golden)
+    assert cache_events(ctx.registry, "evictions") >= 1.0
     assert not capped.has_golden(spec), "least recently used artifact evicted"
     assert capped.has_golden(other)
 
-
-def test_stats_shape(tmp_path, spec):
-    cache = ArtifactCache(tmp_path)
-    cache.load_golden(spec)
-    assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0, "evictions": 0}

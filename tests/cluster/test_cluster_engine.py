@@ -38,11 +38,10 @@ def shard_counts(registry):
 
 def test_make_engine_builds_cluster(tmp_path):
     engine = make_engine("cluster", max_workers=2, shard_size=9,
-                         cache_dir=str(tmp_path), checkpoint_interval=50)
+                         cache_dir=str(tmp_path))
     assert isinstance(engine, ClusterEngine)
     assert engine.shard_size == 9
     assert engine.max_workers == 2
-    assert engine.checkpoint_interval == 50
     assert not engine.resume
 
 
@@ -177,22 +176,6 @@ def test_resume_of_a_complete_journal_reuses_everything(tmp_path):
     assert executed == 0
     assert reused == total > 0
     assert again.classification_fingerprint() == outcome.classification_fingerprint()
-
-
-def test_checkpoint_interval_is_part_of_artifact_identity(tmp_path):
-    """--checkpoint-interval must never be silently satisfied by a cached
-    golden captured at a different spacing."""
-    spec = tiny_spec(seed=5)
-    cache = tmp_path / "cache"
-    def golden_builds(interval):
-        engine = ClusterEngine(max_workers=1, cache_dir=cache,
-                               checkpoint_interval=interval)
-        _, metrics = observed_run(engine, [spec])
-        return metrics.total("repro_golden_builds_total")
-
-    assert golden_builds(48) == 1
-    assert golden_builds(16) == 1, "different interval, new artifact"
-    assert golden_builds(16) == 0
 
 
 def test_unknown_workload_fails_in_planning(tmp_path):

@@ -38,19 +38,16 @@ def outcomes_for(shard):
 def test_create_record_load_round_trip(tmp_path):
     spec = make_spec()
     shards = make_shards(spec)
-    journal = RunJournal.create(tmp_path, spec, shards, shard_size=4,
-                                checkpoint_interval=32)
-    journal.record_shard(shards[0], outcomes_for(shards[0]), golden_cache_hit=True)
+    journal = RunJournal.create(tmp_path, spec, shards, shard_size=4)
+    journal.record_shard(shards[0], outcomes_for(shards[0]))
     journal.record_shard(shards[2], outcomes_for(shards[2]))
 
     loaded = RunJournal.load(tmp_path, spec.run_id())
     assert loaded.spec() == spec
     assert loaded.shard_size == 4
-    assert loaded.checkpoint_interval == 32
     assert loaded.shard_ids == [s.shard_id() for s in shards]
     assert loaded.missing_shard_ids() == [shards[1].shard_id()]
     assert loaded.completed[shards[0].shard_id()] == outcomes_for(shards[0])
-    assert loaded.worker_cache_hits == 1
     assert not loaded.merged
 
     loaded.record_merged({"shards": 3})

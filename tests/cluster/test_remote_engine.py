@@ -38,8 +38,7 @@ def make_world(count: int):
         shard = FaultShard("runX", index, "RF", ((index, 0, 0, 5),))
         task = ShardTask(
             task_id=f"0:{shard.shard_id()}",
-            spec={}, shard=shard.to_dict(),
-            checkpoint_interval=None, obs_enabled=False,
+            spec={}, shard=shard.to_dict(), obs_enabled=False,
             warm_key="golden-key",
         )
         tasks.append(task)
@@ -51,7 +50,6 @@ def synthetic_executor(task: ShardTask) -> dict:
     shard = FaultShard.from_dict(task.shard)
     return {
         "shard_id": shard.shard_id(),
-        "golden_cache_hit": True,
         "outcomes": {str(fault_id): ["Masked", 100 + fault_id]
                      for fault_id in shard.fault_ids},
         "obs": None,
@@ -211,7 +209,7 @@ def test_coordinator_validates_max_attempts():
 # ----------------------------------------------------------------------
 def test_validate_shard_payload_catalogue():
     shard = FaultShard("runX", 0, "RF", ((1, 0, 0, 5), (2, 0, 1, 9)))
-    good = {"shard_id": shard.shard_id(), "golden_cache_hit": True,
+    good = {"shard_id": shard.shard_id(),
             "outcomes": {"1": ["Masked", 10], "2": ["SDC", 11]}}
     assert validate_shard_payload(shard, good) is None
     assert "mapping" in validate_shard_payload(shard, None)

@@ -40,7 +40,6 @@ def synthetic_executor(task: ShardTask) -> dict:
     shard = FaultShard.from_dict(task.shard)
     return {
         "shard_id": shard.shard_id(),
-        "golden_cache_hit": True,
         "outcomes": {str(fault_id): ["Masked", 100 + fault_id]
                      for fault_id in shard.fault_ids},
     }
@@ -58,8 +57,7 @@ def test_every_shard_delivered_exactly_once_under_chaos(
     for index in range(count):
         shard = FaultShard("runP", index, "RF", ((index, 0, 0, 5),))
         task = ShardTask(task_id=f"0:{shard.shard_id()}", spec={},
-                         shard=shard.to_dict(), checkpoint_interval=None,
-                         obs_enabled=False, warm_key="g")
+                         shard=shard.to_dict(), obs_enabled=False, warm_key="g")
         tasks.append(task)
         lookup[task.task_id] = shard
     transport = FakeTransport(workers=workers, schedule=schedule,
@@ -94,7 +92,7 @@ def merge_world(tmp_path_factory):
     prepared = session.prepare(spec)
     shards = shard_faults(spec.run_id(), list(prepared.fault_list),
                           prepared.golden.checkpoints, 7)
-    payloads = [_execute_shard(spec, shard, cache_dir, None)
+    payloads = [_execute_shard(spec, shard, cache_dir)
                 for shard in shards]
     return prepared, payloads
 

@@ -33,8 +33,7 @@ from repro.cluster.transport import (
 
 
 def task_of(task_id: str = "t1") -> ShardTask:
-    return ShardTask(task_id=task_id, spec={}, shard={},
-                     checkpoint_interval=None, obs_enabled=False,
+    return ShardTask(task_id=task_id, spec={}, shard={}, obs_enabled=False,
                      warm_key="golden-key")
 
 
@@ -112,8 +111,8 @@ def test_local_transport_runs_patched_worker(monkeypatch, tmp_path):
     # must resolve it late so the seam stays patchable.
     calls = {}
 
-    def fake_worker(spec, shard, cache_dir, interval, obs_enabled=False):
-        calls["args"] = (spec, shard, cache_dir, interval, obs_enabled)
+    def fake_worker(spec, shard, cache_dir, obs_enabled=False):
+        calls["args"] = (spec, shard, cache_dir, obs_enabled)
         return {"shard_id": "s", "outcomes": {}}
 
     import repro.cluster.engine as engine_module

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
 from repro.api import CampaignSpec, ResultStore, SerialEngine
 from repro.api.session import Session
 from repro.api.store import StoreError, StoreUnavailableError
@@ -28,6 +28,15 @@ def spec() -> CampaignSpec:
         workload="sha", structure=TargetStructure.RF, config=SMALL,
         scale=1, faults=10, seed=0, method="comprehensive",
     )
+
+
+def cache_counts(registry):
+    """Degradations and role="main" cache events of one observed block."""
+    counts = {"degraded": registry.total("repro_artifact_cache_degraded_total")}
+    for kind in ("hits", "misses", "stores", "evictions"):
+        counts[kind] = registry.value(
+            f"repro_artifact_cache_{kind}_total", role="main") or 0.0
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +89,16 @@ def test_cli_renders_store_unavailable_as_one_line(tmp_path, capsys):
 
 def test_cache_degrades_when_root_is_unusable(tmp_path):
     fs = FaultFs(script={"mkdir": ["eio"] * 20})
-    cache = ArtifactCache(tmp_path / "cache", fs=fs)
-    assert cache.degraded
-    assert cache.degraded_events == 1
-    assert cache.has_golden(spec()) is False
-    assert cache.load_golden(spec()) is None
-    path = cache.store_golden(spec(), golden=None)  # no-op, returns path
+    with obs.observe() as ctx:
+        cache = ArtifactCache(tmp_path / "cache", fs=fs)
+        assert cache.degraded
+        assert cache.has_golden(spec()) is False
+        assert cache.load_golden(spec()) is None
+        path = cache.store_golden(spec(), golden=None)  # no-op, returns path
     assert not path.exists()
-    assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0,
-                             "evictions": 0}
+    assert cache_counts(ctx.registry) == {
+        "degraded": 1.0, "hits": 0.0, "misses": 1.0, "stores": 0.0,
+        "evictions": 0.0}
 
 
 def test_cache_load_eio_is_a_degraded_miss_not_a_removal(tmp_path):
@@ -97,8 +107,9 @@ def test_cache_load_eio_is_a_degraded_miss_not_a_removal(tmp_path):
     artifact.write_bytes(b"maybe-fine-bytes")
     fs = FaultFs(script={"open_read": ["eio"]})
     cache = ArtifactCache(tmp_path / "cache", fs=fs)
-    assert cache.load_golden(spec()) is None
-    assert cache.degraded_events == 1
+    with obs.observe() as ctx:
+        assert cache.load_golden(spec()) is None
+    assert cache_counts(ctx.registry)["degraded"] == 1.0
     assert not cache.degraded, "one unreadable artifact is not fatal"
     assert artifact.exists(), "the bytes may be fine; EIO must not delete"
 
@@ -109,11 +120,13 @@ def test_cache_store_failure_is_best_effort(tmp_path, monkeypatch):
     assert not cache.degraded
     monkeypatch.setattr(cache, "_encode", lambda golden, key: {"stub": True})
 
-    path = cache.store_golden(spec(), golden=object())  # must not raise
+    with obs.observe() as ctx:
+        path = cache.store_golden(spec(), golden=object())  # must not raise
     assert not path.exists(), "persistent ENOSPC: the golden is not cached"
-    assert cache.degraded_events == 1
+    counts = cache_counts(ctx.registry)
+    assert counts["degraded"] == 1.0
     assert not cache.degraded, "a failed store does not poison the cache"
-    assert cache.stats()["stores"] == 0
+    assert counts["stores"] == 0.0
 
 
 def test_campaign_survives_degraded_cache(tmp_path):

@@ -166,6 +166,50 @@ def test_resume_reports_journaled_and_executed_shards(tmp_path, capsys):
             f"{shards - 1} executed") in err
 
 
+def test_resume_reads_a_journal_in_the_previous_format(tmp_path, capsys):
+    """Journals from before the timeline spacing left the engine carry a
+    ``checkpoint_interval`` header field and a per-shard
+    ``golden_cache_hit`` flag; readers ignore both, so such a journal
+    still loads and resumes to the uninterrupted outcome."""
+    import json
+
+    from repro.cluster import RunJournal, journal_path
+
+    cache = str(tmp_path / "cache")
+    assert cli.main([
+        "run", "--workload", "sha", "--structure", "RF", "--faults", "40",
+        "--scale", "1", "--method", "comprehensive", "--engine", "cluster",
+        "--workers", "1", "--shard-size", "9", "--cache-dir", cache,
+        "--json",
+    ]) == 0
+    reference = json.loads(capsys.readouterr().out)
+    run_id = reference["run_id"]
+
+    journal_dir = tmp_path / "cache" / "journals"
+    path = journal_path(journal_dir, run_id)
+    old_format = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "header":
+            record["checkpoint_interval"] = None
+        elif record["kind"] == "shard":
+            record["golden_cache_hit"] = True
+        else:
+            continue  # killed before the merge marker landed
+        old_format.append(json.dumps(record, separators=(",", ":")) + "\n")
+    path.write_text("".join(old_format[:-1]))  # ...and one shard short
+
+    loaded = RunJournal.load(journal_dir, run_id)
+    assert loaded.spec().run_id() == run_id
+    assert len(loaded.completed) == len(old_format) - 2
+
+    assert cli.main(["resume", run_id, "--cache-dir", cache, "--json"]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    reference["comprehensive"].pop("wall_clock_seconds")
+    resumed["comprehensive"].pop("wall_clock_seconds")
+    assert resumed == reference
+
+
 def test_resume_without_journal_fails_with_one_line(tmp_path, capsys):
     code = cli.main(["resume", "cafebabe0000", "--cache-dir", str(tmp_path)])
     assert code == 1
