@@ -2,7 +2,8 @@
 
 Runs the same 1000-fault register-file campaign twice — serial cold-start
 vs. checkpoint fast-forward — verifies the outcomes are identical, and
-emits ``BENCH_checkpoint.json`` at the repository root with the wall-clock
+emits ``BENCH_checkpoint.json`` (into ``.bench_work/``, or the
+repository root under ``pytest --record-bench``) with the wall-clock
 trajectory.  Each leg's time includes everything that engine actually
 pays: golden capture for the cold leg, golden capture plus checkpoint
 timeline capture for the checkpointed leg.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from conftest import CHECKPOINT_BENCH_ITERATIONS
 from repro.faults.campaign import ComprehensiveCampaign
@@ -21,7 +21,7 @@ from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, shared_fault_list, small_config
 from repro.uarch.structures import TargetStructure
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_checkpoint.json"
+BENCH_NAME = "BENCH_checkpoint.json"
 
 FAULTS = 1_000
 # Relative floor of the checkpoint engine over the serial cold engine.
@@ -34,7 +34,8 @@ FAULTS = 1_000
 REQUIRED_SPEEDUP = 1.6
 
 
-def test_checkpoint_campaign_speedup():
+def test_checkpoint_campaign_speedup(bench_json_dir):
+    bench_json = bench_json_dir / BENCH_NAME
     config = small_config()
     program = build_loop_program(CHECKPOINT_BENCH_ITERATIONS)
 
@@ -82,7 +83,7 @@ def test_checkpoint_campaign_speedup():
         "speedup": round(speedup, 3),
         "classification": cold.counts.counts,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\ncheckpoint speedup: {speedup:.2f}x "
           f"(cold {cold_seconds:.1f}s, checkpointed {warm_seconds:.1f}s)")
 

@@ -3,7 +3,8 @@
 Runs one 2000-fault register-file campaign through the cluster engine
 three times — cold cache with 1 worker, warm cache with 1 worker, warm
 cache with 4 workers — verifies all three merge to the identical outcome,
-and emits ``BENCH_cluster.json`` at the repository root with the scaling
+and emits ``BENCH_cluster.json`` (into ``.bench_work/``, or the
+repository root under ``pytest --record-bench``) with the scaling
 trajectory and the warm-vs-cold cache behaviour.
 
 Two gates with different natures:
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro import obs
 from repro.api import CampaignSpec
@@ -31,7 +31,7 @@ from repro.perf import gate_relaxed
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
+BENCH_NAME = "BENCH_cluster.json"
 
 FAULTS = 2_000
 WORKERS = 4
@@ -46,7 +46,8 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def test_cluster_campaign_scaling(tmp_path):
+def test_cluster_campaign_scaling(tmp_path, bench_json_dir):
+    bench_json = bench_json_dir / BENCH_NAME
     spec = CampaignSpec(
         workload="sha", structure=TargetStructure.RF, config=small_config(),
         scale=1, faults=FAULTS, seed=42, method="comprehensive",
@@ -129,7 +130,7 @@ def test_cluster_campaign_scaling(tmp_path):
         "worker_cache_hit_ratio": round(worker_hits / worker_lookups, 3),
         "classification": dict(cold_outcome.comprehensive.counts),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\ncluster scaling: {speedup:.2f}x at {WORKERS} workers "
           f"(warm 1w {warm1_seconds:.1f}s, warm {WORKERS}w {warm4_seconds:.1f}s, "
           f"cold {cold_seconds:.1f}s, {cpus} cpus)")

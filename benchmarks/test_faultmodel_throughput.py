@@ -2,7 +2,8 @@
 
 Runs the same 400-fault register-file campaign once per fault model of the
 zoo (identical golden run, identical anchor draws where the model's bit
-range allows) and emits ``BENCH_faultmodels.json`` at the repository root:
+range allows) and emits ``BENCH_faultmodels.json`` (into ``.bench_work/``,
+or the repository root under ``pytest --record-bench``):
 wall-clock, faults/second and the throughput ratio to the single-bit
 baseline for each model.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
@@ -34,7 +34,7 @@ from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, small_config
 from repro.uarch.structures import TargetStructure, structure_geometry
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faultmodels.json"
+BENCH_NAME = "BENCH_faultmodels.json"
 
 FAULTS = 400
 ITERATIONS = 60
@@ -53,7 +53,8 @@ MODELS = [
 ]
 
 
-def test_faultmodel_injection_throughput():
+def test_faultmodel_injection_throughput(bench_json_dir):
+    bench_json = bench_json_dir / BENCH_NAME
     config = small_config()
     golden = capture_golden(build_loop_program(ITERATIONS), config, trace=False)
     geometry = structure_geometry(TargetStructure.RF, config)
@@ -88,7 +89,7 @@ def test_faultmodel_injection_throughput():
         "relative_throughput_floor": MIN_RELATIVE_THROUGHPUT,
         "enforced": not gate_relaxed(),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if gate_relaxed():
         return
@@ -96,5 +97,5 @@ def test_faultmodel_injection_throughput():
         assert row["relative_throughput"] >= MIN_RELATIVE_THROUGHPUT, (
             f"{row['model']} throughput collapsed: "
             f"{row['relative_throughput']}x of single-bit "
-            f"(floor {MIN_RELATIVE_THROUGHPUT}x); see {BENCH_JSON}"
+            f"(floor {MIN_RELATIVE_THROUGHPUT}x); see {bench_json}"
         )

@@ -2,8 +2,9 @@
 
 Measures raw interpreter cycles/sec, serial-engine and checkpoint-engine
 faults/sec and the delta-timeline payload size via :mod:`repro.perf`,
-emits ``BENCH_simcore.json`` at the repository root (baseline + current +
-speedups in one file), and enforces the >=2.5x serial-campaign floor over
+emits ``BENCH_simcore.json`` (baseline + current + speedups in one file;
+into ``.bench_work/``, or the repository root under
+``pytest --record-bench``), and enforces the >=2.5x serial-campaign floor over
 the recorded pre-optimization baseline.
 
 Shared CI runners are too noisy for hard wall-clock gates; the workflow
@@ -13,7 +14,6 @@ the floor.
 
 from __future__ import annotations
 
-from pathlib import Path
 
 from repro.perf import (
     REQUIRED_SERIAL_SPEEDUP,
@@ -23,14 +23,15 @@ from repro.perf import (
     write_bench_json,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
+BENCH_NAME = "BENCH_simcore.json"
 
 
-def test_simcore_throughput_gate():
+def test_simcore_throughput_gate(bench_json_dir):
+    bench_json = bench_json_dir / BENCH_NAME
     # measure_simcore_gated re-measures on a gate shortfall (wall-clock
     # noise on shared single-CPU machines) keeping the best payload.
     payload = measure_simcore_gated()
-    write_bench_json(payload, BENCH_JSON)
+    write_bench_json(payload, bench_json)
 
     current = payload["current"]
     speedup = payload["speedup"]

@@ -46,7 +46,7 @@ from repro.version import __version__
 
 #: Version folded into every artifact (and its key), so incompatible layout
 #: changes can never resurrect stale artifacts.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3

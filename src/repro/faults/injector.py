@@ -15,7 +15,8 @@ from repro.faults.classification import (
 )
 from repro.faults.golden import GoldenRecord
 from repro.faults.model import FaultSpec
-from repro.uarch.checkpoint import CpuState, make_reconvergence_hook
+from repro.isa.errors import ProgramCrash, SimulatorAssertError
+from repro.uarch.checkpoint import CpuState, clone_result, make_reconvergence_hook
 from repro.uarch.pipeline import OutOfOrderCpu, SimulationResult, TerminationKind
 from repro.uarch.stats import SimStats
 
@@ -65,14 +66,16 @@ def inject_fault(
     cycle) is handed to the pipeline.  A window extending past the run's
     end is legal: late applications simply never fire.
 
-    ``fast_forward`` enables the checkpoint engine: the run restores the
-    nearest golden checkpoint at-or-before the injection cycle instead of
-    cold-simulating from cycle 0, and ends early with the golden result
-    either at the fault cycle, when a one-cycle fault lands only in dead
-    cells (free registers, invalid SQ slots or L1D lines), or once the
-    faulty state reconverges exactly onto a later golden checkpoint (only
-    *after* the fault's active window has closed — a still-open window
-    could re-perturb matched state); see
+    ``fast_forward`` enables the checkpoint engine.  A one-cycle fault
+    that lands only in dead cells (free registers, invalid SQ slots or L1D
+    lines) is answered from the golden timeline's
+    :class:`~repro.uarch.checkpoint.DeadCellIndex` with the golden result:
+    no CPU is touched, nothing is restored or stepped.  Any other run
+    restores the nearest golden checkpoint at-or-before the injection
+    cycle instead of cold-simulating from cycle 0, and ends early with the
+    golden result once the faulty state reconverges exactly onto a later
+    golden checkpoint (only *after* the fault's active window has closed —
+    a still-open window could re-perturb matched state); see
     :func:`~repro.uarch.checkpoint.make_reconvergence_hook`.
     Both paths are bit-identical in classification and in every
     :class:`SimulationResult` field (enforced by the differential harness
@@ -84,17 +87,27 @@ def inject_fault(
     resets *all* machine state, so reuse is exact; only used when a
     restore actually happens).
 
+    Any exception the simulator raises is classified as a Crash, like
+    the modelled ones (``ProgramCrash``, ``SimulatorAssertError``) that
+    ``OutOfOrderCpu.run`` already turns into a termination kind.
+
     Under :mod:`repro.obs` each call records the cycles it actually
     stepped and why the run ended: the termination kind, ``reconverged``
-    or ``dead_flip``.  A run ended early iff it stopped before the cycle
-    count of the result it returns; it stopped at ``fault.cycle`` iff the
-    dead-flip exit fired.
+    (the run stopped before the cycle count of the result it returns) or
+    ``dead_flip`` (answered from the index).  An exception other than a
+    modelled one is also counted in ``repro_internal_errors_total{type}``:
+    it is a simulator bug, not a modelled crash.
     """
     obs_ctx = obs.active()
+    timeline = golden.checkpoints if fast_forward else None
+    if (timeline is not None and fault.last_active_cycle == fault.cycle
+            and timeline.dead_cells.all_dead(fault)):
+        result = clone_result(golden.result)
+        return _outcome(golden, fault, result, simpoint_mode, obs_ctx,
+                        0, "dead_flip")
     fault_plan = fault.plan()
     max_cycles = max(golden.timeout_cycles(TIMEOUT_FACTOR), fault.cycle + 1)
     max_instructions = golden.committed_instructions if simpoint_mode else None
-    timeline = golden.checkpoints if fast_forward else None
     cpu = None
     start_cycle = 0
     try:
@@ -134,13 +147,24 @@ def inject_fault(
         )
     except Exception as failure:  # noqa: BLE001 - any escape is a simulator crash
         result = _simulator_crash_result(golden, repr(failure))
+        if obs_ctx is not None and not isinstance(
+                failure, (ProgramCrash, SimulatorAssertError)):
+            obs_ctx.internal_error(type(failure).__name__)
 
+    stepped = cpu.cycle - start_cycle if cpu is not None else 0
+    end_reason = result.termination.value
+    if cpu is not None and cpu.cycle < result.cycles:
+        end_reason = "reconverged"
+    return _outcome(golden, fault, result, simpoint_mode, obs_ctx,
+                    stepped, end_reason)
+
+
+def _outcome(golden: GoldenRecord, fault: FaultSpec, result: SimulationResult,
+             simpoint_mode: bool, obs_ctx, stepped: int,
+             end_reason: str) -> InjectionOutcome:
+    """Classify ``result`` and record the injection under :mod:`repro.obs`."""
     effect = classify_outcome(golden.result, result)
     if obs_ctx is not None:
-        stepped = cpu.cycle - start_cycle if cpu is not None else 0
-        end_reason = result.termination.value
-        if cpu is not None and cpu.cycle < result.cycles:
-            end_reason = "dead_flip" if cpu.cycle == fault.cycle else "reconverged"
         obs_ctx.injection_done(effect.value, stepped, end_reason)
     simpoint_effect = None
     if simpoint_mode:

@@ -106,6 +106,12 @@ class ObsContext:
             "reconverged or dead_flip.",
             labels=("reason",),
         )
+        self._internal_errors = registry.counter(
+            "repro_internal_errors_total",
+            "Injection runs ended by an unexpected simulator exception "
+            "(still classified Crash), by exception type.",
+            labels=("type",),
+        )
         self._faults_per_second = registry.gauge(
             "repro_faults_per_second",
             "End-to-end campaign throughput: injections / wall seconds.",
@@ -235,6 +241,9 @@ class ObsContext:
             self._stepped_cycles.inc(stepped_cycles)
         if end_reason is not None:
             self._run_ends.inc(reason=end_reason)
+
+    def internal_error(self, kind: str) -> None:
+        self._internal_errors.inc(type=kind)
 
     def checkpoint_restore(self, cycles_saved: int) -> None:
         self._checkpoint_restores.inc()

@@ -16,16 +16,22 @@ and does not perturb results).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.faults.golden import GoldenRecord, capture_golden
-from repro.faults.model import FaultList
+from repro.faults.model import FaultList, FaultSpec
 from repro.faults.sampling import generate_fault_list
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.isa.registers import Reg as R
+from repro.uarch.checkpoint import DEFAULT_INTERVAL, _flip_sites_dead
 from repro.uarch.config import MicroarchConfig
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.pipeline import OutOfOrderCpu
+from repro.uarch.structures import (
+    WORDS_PER_LINE,
+    TargetStructure,
+    structure_geometry,
+)
 
 __all__ = [
     "build_loop_program",
@@ -33,6 +39,7 @@ __all__ = [
     "small_config",
     "shared_loop_golden",
     "shared_fault_list",
+    "dead_index_disagreements",
     "ProgressRecorder",
 ]
 
@@ -165,3 +172,45 @@ def shared_fault_list(
         sample_size=sample_size,
         seed=seed,
     )
+
+
+def dead_index_disagreements(program: Program,
+                             config: Optional[MicroarchConfig] = None
+                             ) -> Tuple[int, int]:
+    """Check a golden timeline's dead-cell index against its oracle.
+
+    Captures ``program``'s golden run with a checkpoint timeline, replays
+    it, and at every cycle boundary of the replay compares
+    :meth:`~repro.uarch.checkpoint.DeadCellIndex.dead` with
+    :func:`~repro.uarch.checkpoint._flip_sites_dead` for every RF
+    register, SQ slot and L1D line (a line through one of its words, which
+    rotates with the cycle).  Returns ``(pairs checked, disagreements)``.
+    """
+    config = config if config is not None else MicroarchConfig()
+    golden = capture_golden(program, config, trace=False,
+                            checkpoint_interval=DEFAULT_INTERVAL)
+    index = golden.checkpoints.dead_cells
+    # One probe fault per (structure, entry); the oracle ignores its cycle.
+    probes = {}
+    for structure in TargetStructure:
+        entries = range(structure_geometry(structure, config).num_entries)
+        probes[structure] = [FaultSpec(0, structure, entry=entry, bit=0, cycle=0)
+                             for entry in entries]
+    counts = [0, 0]
+
+    def compare(cpu: OutOfOrderCpu) -> None:
+        cycle = cpu.cycle
+        for structure, faults in probes.items():
+            if structure is TargetStructure.L1D:
+                faults = faults[cycle % WORDS_PER_LINE::WORDS_PER_LINE]
+            for fault in faults:
+                counts[0] += 1
+                if (_flip_sites_dead(cpu, fault)
+                        != index.dead(structure, fault.entry, cycle)):
+                    counts[1] += 1
+        return None
+
+    replay = OutOfOrderCpu(program, config).run(cycle_hook=compare)
+    if replay != golden.result:
+        raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
+    return counts[0], counts[1]

@@ -160,6 +160,9 @@ class DataCache:
         # Delta-checkpoint support: flat line indices (set * assoc + way)
         # mutated since the last drain (None while tracking is disabled).
         self._dirty = None
+        # Flat line indices that became valid or invalid, in order, while a
+        # dead-cell index records the run (None otherwise).
+        self._toggled: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -250,6 +253,8 @@ class DataCache:
         line.tag = None
         if self._dirty is not None:
             self._dirty.add(set_index * self.assoc + way)
+        if self._toggled is not None:
+            self._toggled.append(set_index * self.assoc + way)
 
     def _fill(self, set_index: int, tag: int, cycle: int) -> Tuple[int, int]:
         """Bring the line (set, tag) into the cache; returns (way, extra latency)."""
@@ -279,6 +284,8 @@ class DataCache:
         line.dirty = False
         if self._dirty is not None:
             self._dirty.add(set_index * self.assoc + lru_way)
+        if self._toggled is not None:
+            self._toggled.append(set_index * self.assoc + lru_way)
         if self.tracer is not None and self.tracer.enabled:
             for word in range(WORDS_PER_LINE):
                 self.tracer.record_l1d(
@@ -403,6 +410,15 @@ class DataCache:
         dirty = self._dirty
         self._dirty = set()
         return dirty if dirty is not None else set()
+
+    def begin_toggle_log(self) -> List[int]:
+        """Log every line (``set * assoc + way``) that becomes valid or
+        invalid from now on.
+
+        Returns the log; the caller drains it.
+        """
+        self._toggled = []
+        return self._toggled
 
     def line_state(self, line_index: int) -> Tuple:
         """One line's (tag, valid, dirty, data, last_use) snapshot tuple."""

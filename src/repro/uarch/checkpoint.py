@@ -59,6 +59,15 @@ the dominant masking mechanism), determinism guarantees the rest of the
 run replays the golden run exactly, so the injection run can stop and
 return a copy of the golden result.  This is what pushes campaign-level
 speedups beyond the 2x bound of pure prefix skipping.
+
+Dead-cell index
+---------------
+Many faults need no run at all.  The timeline also records, at every
+cycle boundary of the golden run, which RF registers, SQ slots and L1D
+lines are *dead* — free storage whose next access is a full overwrite
+(:class:`DeadCellIndex`).  A one-cycle fault that lands only in dead
+cells is masked exactly, so the injector answers it from the index before
+any restore.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ from repro.uarch.pipeline import (
     _MacroContext,
 )
 from repro.uarch.stats import SimStats
-from repro.uarch.structures import TargetStructure
+from repro.uarch.structures import WORDS_PER_LINE, TargetStructure
 
 #: Default snapshot spacing (cycles) when capturing inline during a golden
 #: run whose length is not yet known.
@@ -712,6 +721,147 @@ def new_restore_pool(program, config, record_reads: bool = False):
 
 
 # ----------------------------------------------------------------------
+# Dead-cell index
+# ----------------------------------------------------------------------
+class DeadCellIndex:
+    """When each fault-target cell of one golden run is dead.
+
+    A cell is *dead* at a cycle boundary when its next access must be a
+    full overwrite: an RF register on the free list, a store-queue slot
+    that is not ``valid``, or an L1D word whose line is not ``valid``
+    (:func:`_flip_sites_dead` is the same predicate on a live CPU, kept as
+    this index's test oracle).  :meth:`observe` runs at every cycle
+    boundary of the golden run, through :meth:`CheckpointTimeline.observe`,
+    so :meth:`all_dead` answers that predicate for any boundary of the run
+    without a CPU.
+
+    A one-cycle fault whose flip entries are all dead at its cycle is
+    masked, exactly, which lets
+    :func:`~repro.faults.injector.inject_fault` answer it with the golden
+    result before any restore:
+
+    - at the boundary ``fault.cycle``, before the fault is applied, the
+      injection run equals the golden run, since no fault has fired yet;
+      so its cells are dead exactly where the golden run's are;
+    - rename calls ``mark_not_ready`` on every register it allocates, so
+      consumers wait for writeback, and writeback overwrites the whole
+      register;
+    - store-queue data is read only when ``data_ready`` is set, and
+      ``set_data`` overwrites the latch before setting it;
+    - an invalid L1D line is never looked up, evicted or flushed, and
+      ``_fill`` overwrites every byte of it;
+    - so every later read, and therefore the whole
+      :class:`SimulationResult`, equals the golden run's.
+
+    Windowed faults (intermittent, stuck-at) are never answered: a later
+    application could land after the cell comes back to life.
+
+    Storage is O(state changes), not O(cycles x cells): per unit
+    (register, slot, L1D line), the ascending boundaries at which it
+    turned dead or live, starting with the first observed boundary for
+    the units dead there; a unit is dead where an odd number of them
+    have passed, so a query is one ``bisect`` per flip entry.  Capture costs
+    O(changes) too: at its first boundary the index arms the free list,
+    store queue and L1D, which from then on log every unit they move into
+    or out of use (``begin_toggle_log``), and each later boundary drains
+    those logs.
+    """
+
+    def __init__(self) -> None:
+        #: First and last observed cycle boundaries (None: never observed).
+        self.first: Optional[int] = None
+        self.last: Optional[int] = None
+        #: Per structure, per unit: the boundaries its deadness flipped at.
+        self._toggles: Dict[TargetStructure, List[List[int]]] = {}
+        #: (component log, per-unit toggles) pairs drained by observe.
+        self._logs: Tuple[Tuple[List[int], List[List[int]]], ...] = ()
+
+    def observe(self, cpu: OutOfOrderCpu) -> None:
+        """Record the units whose deadness changed since the last boundary."""
+        cycle = cpu.cycle
+        if self.last is None:
+            self._start(cpu)
+            return
+        if cycle != self.last + 1:
+            raise ValueError(
+                f"dead-cell index observed cycle {cycle} after {self.last}; "
+                f"it must see every boundary of one run"
+            )
+        self.last = cycle
+        for log, toggles in self._logs:
+            if log:
+                for unit in log:
+                    toggles[unit].append(cycle)
+                log.clear()
+
+    def _start(self, cpu: OutOfOrderCpu) -> None:
+        cycle = self.first = self.last = cpu.cycle
+        lines = [line for ways in cpu.dcache.lines for line in ways]
+        dead_now = {
+            TargetStructure.RF: (cpu.prf.num_regs, cpu.free_list.snapshot()),
+            TargetStructure.SQ: (
+                cpu.store_queue.num_entries,
+                [slot.index for slot in cpu.store_queue.slots if not slot.valid]),
+            TargetStructure.L1D: (
+                len(lines),
+                [unit for unit, line in enumerate(lines) if not line.valid]),
+        }
+        for structure, (count, dead) in dead_now.items():
+            toggles: List[List[int]] = [[] for _ in range(count)]
+            for unit in dead:
+                toggles[unit].append(cycle)
+            self._toggles[structure] = toggles
+        self._logs = (
+            (cpu.free_list.begin_toggle_log(), self._toggles[TargetStructure.RF]),
+            (cpu.store_queue.begin_toggle_log(), self._toggles[TargetStructure.SQ]),
+            (cpu.dcache.begin_toggle_log(), self._toggles[TargetStructure.L1D]),
+        )
+
+    # ------------------------------------------------------------------
+    def dead(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
+        """Whether fault-target ``entry`` is dead at boundary ``cycle``.
+
+        False outside the observed boundaries: the index knows nothing
+        there.
+        """
+        if self.first is None or not self.first <= cycle <= self.last:
+            return False
+        unit = entry // WORDS_PER_LINE if structure is TargetStructure.L1D else entry
+        return bool(bisect.bisect_right(self._toggles[structure][unit], cycle) & 1)
+
+    def all_dead(self, fault) -> bool:
+        """Whether every flip entry of ``fault`` is dead at its cycle."""
+        structure, cycle = fault.structure, fault.cycle
+        return all(self.dead(structure, entry, cycle)
+                   for entry in fault.flip_entries())
+
+    # ------------------------------------------------------------------
+    def to_payload(self) -> Tuple:
+        """Pure data: the observed range, then per structure its unit
+        count and the units' toggle cycles (units that never toggle are
+        omitted)."""
+        return (self.first, self.last, tuple(
+            (structure.name,
+             len(toggles),
+             tuple((unit, tuple(cycles))
+                   for unit, cycles in enumerate(toggles) if cycles))
+            for structure, toggles in self._toggles.items()
+        ))
+
+    @classmethod
+    def from_payload(cls, payload: Tuple) -> "DeadCellIndex":
+        """Inverse of :meth:`to_payload`; the result answers, never observes."""
+        index = cls()
+        index.first, index.last, structures = payload
+        for name, count, toggled in structures:
+            toggles: List[List[int]] = [[] for _ in range(count)]
+            for unit, cycles in toggled:
+                toggles[unit] = list(cycles)
+            index._toggles[TargetStructure[name]] = toggles
+        return index
+
+
+# ----------------------------------------------------------------------
 # Checkpoint timeline
 # ----------------------------------------------------------------------
 class CheckpointTimeline:
@@ -756,6 +906,8 @@ class CheckpointTimeline:
         # checkpoint.
         self._tail_delta: Optional[DeltaState] = None
         self._tail_full: Optional[CpuState] = None
+        #: Filled at every cycle boundary, not just at checkpoints.
+        self.dead_cells = DeadCellIndex()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -768,6 +920,7 @@ class CheckpointTimeline:
     # ------------------------------------------------------------------
     def observe(self, cpu: OutOfOrderCpu) -> None:
         """Cycle hook: snapshot ``cpu`` when it reaches the next boundary."""
+        self.dead_cells.observe(cpu)
         if cpu.cycle < self._next_cycle:
             return None
         if not self._records:
@@ -893,7 +1046,8 @@ class CheckpointTimeline:
         of :class:`~repro.cluster.artifacts.ArtifactCache`.  Only the
         base checkpoint is stored in full, and even there untouched
         (default-valued, invalid) cache lines are omitted; the deltas are
-        sparse by construction.
+        sparse by construction.  The :class:`DeadCellIndex` rides along
+        as the last element.
         """
         base_payload = None
         delta_payloads: List[Tuple] = []
@@ -920,13 +1074,16 @@ class CheckpointTimeline:
             self.max_checkpoints,
             self._next_cycle,
             (base_payload, tuple(delta_payloads)),
+            self.dead_cells.to_payload(),
         )
 
     @classmethod
     def from_payload(cls, payload: Tuple) -> "CheckpointTimeline":
         """Inverse of :meth:`to_payload` (absent cache lines are defaults)."""
-        interval, max_checkpoints, next_cycle, (base_payload, deltas) = payload
+        (interval, max_checkpoints, next_cycle, (base_payload, deltas),
+         dead_cells) = payload
         timeline = cls(interval, max_checkpoints)
+        timeline.dead_cells = DeadCellIndex.from_payload(dead_cells)
         if base_payload is not None:
             field_names = tuple(CpuState.__dataclass_fields__)
             fields = dict(zip(field_names, base_payload))
@@ -1015,7 +1172,9 @@ def _flip_sites_dead(cpu: OutOfOrderCpu, fault) -> bool:
     dispatch.  A cell is *dead* when its next access must be a full
     overwrite: an RF register on the free list, a store-queue slot that
     is not ``valid``, or an L1D word whose line is not ``valid``.  Every
-    distinct entry of the flip set must be dead.
+    distinct entry of the flip set must be dead.  The test oracle of
+    :class:`DeadCellIndex`, which answers the same question from the
+    golden run without a CPU.
     """
     structure = fault.structure
     for entry in fault.flip_entries():
@@ -1037,53 +1196,28 @@ def make_reconvergence_hook(
     fault,
     golden_result: SimulationResult,
 ) -> Callable[[OutOfOrderCpu], Optional[SimulationResult]]:
-    """Build a ``cycle_hook`` that ends a run early once its outcome is known.
+    """Build a ``cycle_hook`` that ends a run once it reconverges.
 
-    Two exits return a copy of the golden result and stop the pipeline:
+    At every checkpointed cycle strictly after the *active window* of
+    ``fault`` (a :class:`~repro.faults.model.FaultSpec`) has closed, the
+    live state is compared — exactly, field by field — against the golden
+    checkpoint.  On equality the simulator is deterministic, so the rest
+    of the run *is* the golden run: the hook returns a copy of the golden
+    result, which stops the pipeline.  Checkpoints inside a still-open
+    window are never candidates: a later re-application (intermittent) or
+    re-pin (stuck-at) could diverge state that momentarily matched.  Runs
+    that cannot have reconverged pay only O(1) pre-checks per checkpoint
+    (scalar divergence counters, then the faulted cells themselves).
 
-    * **Dead-on-arrival flip.**  At the boundary ``cpu.cycle ==
-      fault.cycle``, before the fault is applied, a fault whose window is
-      one cycle and whose flip entries are all dead
-      (:func:`_flip_sites_dead`) is masked, exactly:
-
-      - at that boundary the run equals the golden run: it was restored
-        from a golden checkpoint (or started cold) and no fault has fired
-        yet;
-      - rename calls ``mark_not_ready`` on every register it allocates, so
-        consumers wait for writeback, and writeback overwrites the whole
-        register;
-      - store-queue data is read only when ``data_ready`` is set, and
-        ``set_data`` overwrites the latch before setting it;
-      - an invalid L1D line is never looked up, evicted or flushed, and
-        ``_fill`` overwrites every byte of it;
-      - so every later read, and therefore the whole
-        :class:`SimulationResult`, equals the golden run's.
-
-      Windowed faults (intermittent, stuck-at) never take this exit: a
-      later application could land after the cell comes back to life.
-    * **Reconvergence.**  At every checkpointed cycle strictly after the
-      *active window* of ``fault`` (a :class:`~repro.faults.model.FaultSpec`)
-      has closed, the live state is compared — exactly, field by field —
-      against the golden checkpoint.  On equality the simulator is
-      deterministic, so the rest of the run *is* the golden run.
-      Checkpoints inside a still-open window are never candidates: a later
-      re-application (intermittent) or re-pin (stuck-at) could diverge
-      state that momentarily matched.  Runs that cannot have reconverged
-      pay only O(1) pre-checks per checkpoint (scalar divergence counters,
-      then the faulted cells themselves).
-
-    A run that stops at ``fault.cycle`` took the first exit; one that stops
-    later took the second (``inject_fault`` tells them apart this way).
+    Faults that land only in dead cells never get here:
+    :func:`~repro.faults.injector.inject_fault` answers them from the
+    timeline's :class:`DeadCellIndex` before any restore.
     """
     last_active = fault.last_active_cycle
-    # -1 never equals a cycle: windowed faults skip the dead-flip check.
-    dead_check_cycle = fault.cycle if last_active == fault.cycle else -1
 
     def hook(cpu: OutOfOrderCpu) -> Optional[SimulationResult]:
         cycle = cpu.cycle
         if cycle <= last_active:
-            if cycle == dead_check_cycle and _flip_sites_dead(cpu, fault):
-                return clone_result(golden_result)
             return None
         state = timeline.state_at(cycle)
         if state is None or _quick_mismatch(cpu, state):

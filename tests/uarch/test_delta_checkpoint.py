@@ -97,7 +97,7 @@ def test_payload_round_trip_and_sparsity():
 
     # The base encoding omits default-valued (untouched, invalid) cache
     # lines; the small loop program cannot have touched the whole L1D.
-    _, _, _, (base_payload, deltas) = payload
+    _, _, _, (base_payload, deltas), _ = payload
     field_names = tuple(
         type(timeline.states()[0]).__dataclass_fields__
     )
