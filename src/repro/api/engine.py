@@ -51,8 +51,8 @@ class SerialEngine:
     simulates only the tail, ending early when the faulty state
     reconverges exactly onto a later golden checkpoint.  Outcomes are
     bit-identical either way — only wall clock changes.  Snapshots start
-    64 cycles apart and the spacing doubles whenever more than 32 accrue
-    (see README, "Checkpoint spacing").
+    at cycle 0, 64 cycles apart, and the spacing doubles whenever more
+    than 32 accrue (see README, "Checkpoint spacing").
     """
 
     progress_unit = "campaigns"

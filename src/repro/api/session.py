@@ -114,9 +114,9 @@ class Session:
     ``checkpointing`` switches every campaign this session runs onto the
     checkpoint fast-forward engine: golden runs additionally capture a
     :class:`~repro.uarch.checkpoint.CheckpointTimeline` inline (a snapshot
-    every 64 cycles, thinned to at most 32 by doubling the spacing), and
-    injection runs restore from it instead of cold-starting.  Outcomes are
-    bit-identical either way.
+    at cycle 0 and every 64 cycles after it, thinned to at most 32 by
+    doubling the spacing), and injection runs restore from it instead of
+    cold-starting.  Outcomes are bit-identical either way.
 
     ``artifact_cache`` (a :class:`~repro.cluster.artifacts.ArtifactCache`)
     adds an on-disk layer to a checkpointing session's golden lookup:
@@ -219,8 +219,9 @@ class Session:
         golden = self._goldens[key]
         if self.checkpointing and golden.checkpoints is None:
             # A golden captured earlier by a non-checkpointing run of this
-            # session: add the timeline lazily (one replay, memoised).  It
-            # is not a timeline the artifact key names, so it is not stored.
+            # session: add the timeline lazily (one verified replay under
+            # the inline policy, memoised).  A session stores a golden
+            # only when it captures one, so this timeline is not stored.
             golden.ensure_checkpoints()
         return golden
 

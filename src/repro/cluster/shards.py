@@ -14,9 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.campaign import schedule_by_checkpoint
 from repro.faults.model import FaultSpec
 from repro.uarch.checkpoint import CheckpointTimeline
 from repro.uarch.structures import TargetStructure
@@ -125,9 +125,10 @@ def shard_faults(
 ) -> List[FaultShard]:
     """Cut ``faults`` into deterministic, checkpoint-aligned shards.
 
-    Faults are cycle-sorted and batched by shared restore checkpoint
-    (:func:`~repro.faults.campaign.schedule_by_checkpoint` — the same
-    scheduler every engine uses), then batches are packed greedily into
+    Faults are cycle-sorted (the order
+    :meth:`~repro.faults.campaign.ComprehensiveCampaign.run_shard` injects
+    in on the fast-forward path) and batched by shared restore checkpoint,
+    ``timeline.nearest(cycle)``; the batches are packed greedily into
     shards of at most ``shard_size`` faults.  A shard boundary always
     coincides with a batch boundary unless a single batch exceeds the shard
     size, in which case the batch is split into contiguous chunks; either
@@ -136,18 +137,24 @@ def shard_faults(
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    batches = schedule_by_checkpoint(faults, timeline)
+    ordered = sorted(faults, key=lambda fault: (fault.cycle, fault.fault_id))
+
+    def restore_point(fault: FaultSpec) -> Optional[int]:
+        if timeline is None:
+            return None
+        return timeline.nearest(fault.cycle).cycle
 
     packed: List[List[FaultSpec]] = []
     current: List[FaultSpec] = []
-    for batch in batches:
-        if current and len(current) + len(batch.faults) > shard_size:
+    for _, group in groupby(ordered, key=restore_point):
+        batch = list(group)
+        if current and len(current) + len(batch) > shard_size:
             packed.append(current)
             current = []
-        if len(batch.faults) > shard_size:
+        if len(batch) > shard_size:
             # One checkpoint's batch overflows a shard: split it into
             # contiguous chunks (they all restore from the same checkpoint).
-            remaining = batch.faults
+            remaining = batch
             while len(current) + len(remaining) > shard_size:
                 space = shard_size - len(current)
                 packed.append(current + remaining[:space])
@@ -155,7 +162,7 @@ def shard_faults(
                 remaining = remaining[space:]
             current = current + remaining if current else list(remaining)
         else:
-            current.extend(batch.faults)
+            current.extend(batch)
         if len(current) == shard_size:
             packed.append(current)
             current = []

@@ -13,51 +13,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
 from repro.faults.golden import GoldenRecord
 from repro.faults.injector import InjectionOutcome, inject_fault
 from repro.faults.model import FaultList, FaultSpec
-from repro.uarch.checkpoint import CheckpointTimeline, CpuState, new_restore_pool
+from repro.uarch.checkpoint import CpuState, new_restore_pool
 from repro.uarch.pipeline import OutOfOrderCpu
 
 #: Optional progress callback: (faults done, faults total).
 ProgressCallback = Callable[[int, int], None]
-
-
-@dataclass
-class CheckpointBatch:
-    """A run of cycle-adjacent faults sharing one fast-forward checkpoint."""
-
-    checkpoint: Optional[CpuState]
-    faults: List[FaultSpec] = field(default_factory=list)
-
-
-def schedule_by_checkpoint(
-    faults: Iterable[FaultSpec],
-    timeline: Optional[CheckpointTimeline],
-) -> List[CheckpointBatch]:
-    """Cycle-sort ``faults`` and batch those sharing a restore checkpoint.
-
-    Sorting by injection cycle makes faults that fast-forward from the
-    same golden checkpoint adjacent, so the campaign looks the checkpoint
-    up once per batch (one warm restore source shared by the whole batch)
-    instead of once per fault.  Faults earlier than the first checkpoint
-    form a leading cold-start batch (``checkpoint is None``).
-    """
-    ordered = sorted(faults, key=lambda fault: (fault.cycle, fault.fault_id))
-    batches: List[CheckpointBatch] = []
-    current_key: Tuple = ()
-    for fault in ordered:
-        checkpoint = timeline.nearest(fault.cycle) if timeline is not None else None
-        key = (checkpoint.cycle if checkpoint is not None else None,)
-        if not batches or key != current_key:
-            batches.append(CheckpointBatch(checkpoint=checkpoint))
-            current_key = key
-        batches[-1].faults.append(fault)
-    return batches
 
 
 @dataclass
@@ -106,10 +73,10 @@ class ComprehensiveCampaign:
 
     ``use_checkpoints`` switches the campaign onto the fast-forward path:
     the golden run's checkpoint timeline is (lazily) captured, faults are
-    injected in cycle order batched by shared checkpoint
-    (:func:`schedule_by_checkpoint`), and each run restores golden state
-    instead of cold-starting.  Classification outcomes are bit-identical
-    either way; only the wall clock changes.
+    injected in cycle order, so faults sharing a restore checkpoint run
+    back to back, and each run restores golden state instead of
+    cold-starting.  Classification outcomes are bit-identical either way;
+    only the wall clock changes.
     """
 
     def __init__(self, golden: GoldenRecord, fault_list: FaultList,
@@ -131,38 +98,20 @@ class ComprehensiveCampaign:
         """The campaign's pooled CPU and its captured cycle-0 state."""
         if self._pooled_cpu is None:
             self._pooled_cpu, self._initial_state = new_restore_pool(
-                self.golden.program, self.golden.config,
-                record_reads=self.use_checkpoints,
-            )
+                self.golden.program, self.golden.config)
         return self._pooled_cpu, self._initial_state
 
     # ------------------------------------------------------------------
-    def run_fault(self, fault: FaultSpec,
-                  checkpoint: Optional[CpuState] = None,
-                  reuse_cpu=None) -> InjectionOutcome:
-        """Inject a single fault (memoised by fault id).
-
-        ``checkpoint`` is the scheduler's pre-resolved restore point for
-        cycle-sorted batches and ``reuse_cpu`` the campaign's pooled CPU
-        object; without them the injector looks the nearest checkpoint up
-        itself and constructs a fresh CPU.
-        """
+    def run_fault(self, fault: FaultSpec) -> InjectionOutcome:
+        """Inject a single fault into the pooled CPU (memoised by fault id)."""
         cached = self._outcome_cache.get(fault.fault_id)
         if cached is not None:
             return cached
-        if checkpoint is None and reuse_cpu is None:
-            # Direct (unscheduled) calls still benefit from the pool: cold
-            # runs restore the pristine initial state, checkpointed runs
-            # let the injector resolve the restore point itself.
-            reuse_cpu, initial_state = self._restore_pool()
-            if not self.use_checkpoints:
-                checkpoint = initial_state
         outcome = inject_fault(
             self.golden, fault,
             simpoint_mode=self.simpoint_mode,
             fast_forward=self.use_checkpoints,
-            checkpoint=checkpoint,
-            reuse_cpu=reuse_cpu,
+            pool=self._restore_pool(),
         )
         self._outcome_cache[fault.fault_id] = outcome
         return outcome
@@ -186,29 +135,6 @@ class ComprehensiveCampaign:
         )
 
     # ------------------------------------------------------------------
-    def _schedule(self, target) -> Iterable[Tuple[FaultSpec, Optional[CpuState]]]:
-        """Yield (fault, restore state) pairs in injection order.
-
-        The cold path preserves the fault list's own order and restores
-        the pooled CPU to the captured cycle-0 state before every run —
-        bit-identical to constructing a fresh CPU, without re-building the
-        whole machine per fault.  The checkpoint path yields cycle-sorted
-        batches so faults sharing a restore point run back to back (faults
-        earlier than the first checkpoint fall back to the initial state).
-        Aggregated results are order-insensitive.
-        """
-        _, initial_state = self._restore_pool()
-        if not self.use_checkpoints:
-            for fault in target:
-                yield fault, initial_state
-            return
-        timeline = self.golden.ensure_checkpoints()
-        for batch in schedule_by_checkpoint(target, timeline):
-            checkpoint = batch.checkpoint if batch.checkpoint is not None else initial_state
-            for fault in batch.faults:
-                yield fault, checkpoint
-
-    # ------------------------------------------------------------------
     def run_shard(self, faults: Iterable[FaultSpec],
                   progress: Optional[ProgressCallback] = None,
                   ) -> Dict[int, InjectionOutcome]:
@@ -216,24 +142,26 @@ class ComprehensiveCampaign:
 
         The one in-process injection loop: :meth:`run`, MeRLiN's
         representatives, Relyzer's pilots and the cluster engine's shard
-        workers all inject through it.  Faults run in :meth:`_schedule`
-        order (cycle-sorted checkpoint batches on the fast-forward path)
-        into the campaign's pooled restore CPU, so a shard costs no more
-        per fault than a whole campaign would.  ``progress`` receives
+        workers all inject through it.  Faults run into the campaign's
+        pooled restore CPU, so a shard costs no more per fault than a
+        whole campaign would.  The cold path keeps the given order; the
+        fast-forward path sorts by injection cycle, so faults sharing a
+        restore checkpoint run back to back (and repeated restores of one
+        state take the dirty-set fast path).  ``progress`` receives
         ``(k, n)`` after the k-th of ``n`` injections.  Outcomes are
         memoised by fault id, so a fault already run by this campaign is
         not simulated again.
         """
         shard = list(faults)
         total = len(shard)
-        reuse_cpu, _ = self._restore_pool()
+        if self.use_checkpoints:
+            self.golden.ensure_checkpoints()
+            shard.sort(key=lambda fault: (fault.cycle, fault.fault_id))
         outcomes: Dict[int, InjectionOutcome] = {}
         with obs.span("run_shard", faults=total,
                       structure=self.fault_list.structure.short_name):
-            for done, (fault, checkpoint) in enumerate(self._schedule(shard), 1):
-                outcomes[fault.fault_id] = self.run_fault(
-                    fault, checkpoint=checkpoint, reuse_cpu=reuse_cpu
-                )
+            for done, fault in enumerate(shard, 1):
+                outcomes[fault.fault_id] = self.run_fault(fault)
                 if progress is not None:
                     progress(done, total)
         return outcomes

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.isa.program import Program
-from repro.uarch.checkpoint import CheckpointTimeline, DEFAULT_MAX_CHECKPOINTS
+from repro.uarch.checkpoint import DEFAULT_INTERVAL, CheckpointTimeline
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.pipeline import OutOfOrderCpu, SimulationResult, TerminationKind
 from repro.uarch.trace import AccessTracer
@@ -54,39 +54,33 @@ class GoldenRecord:
     # ------------------------------------------------------------------
     # Checkpoint access
     # ------------------------------------------------------------------
-    def ensure_checkpoints(self, interval: Optional[int] = None) -> CheckpointTimeline:
+    def ensure_checkpoints(self) -> CheckpointTimeline:
         """Capture the checkpoint timeline, replaying the golden run if needed.
 
-        The replay runs untraced (tracing does not influence simulation
-        dynamics) and is verified to reproduce the recorded golden result
-        bit for bit before the checkpoints are accepted.  ``interval``
-        defaults to ``max(16, cycles // DEFAULT_MAX_CHECKPOINTS)``,
-        spreading the snapshots evenly over the run.  Idempotent: an
-        already-captured timeline is returned as is — including an *empty*
-        one (a run shorter than its checkpoint interval), which would
-        otherwise trigger a futile full replay on every call.
+        The replay is an untraced :func:`capture_golden` (tracing does not
+        influence simulation dynamics) under the inline capture's policy,
+        so its timeline equals the one a checkpointing capture builds.  It
+        must reproduce the recorded golden result bit for bit before its
+        checkpoints are accepted.  Idempotent: an already-captured
+        timeline is returned as is.
         """
         if self.checkpoints is not None:
             return self.checkpoints
-        if interval is None:
-            interval = max(16, self.cycles // DEFAULT_MAX_CHECKPOINTS)
-        timeline = CheckpointTimeline(interval)
-        # Replays record structure reads: the timeline's snapshots must be
-        # comparable against fast-forwarded injection runs, which record.
-        cpu = OutOfOrderCpu(self.program, self.config, record_reads=True)
-        replay = cpu.run(
+        replay = capture_golden(
+            self.program, self.config, trace=False,
             max_cycles=self.cycles + 2,
             max_instructions=self.max_instructions,
-            cycle_hook=timeline.observe,
+            checkpoint_interval=DEFAULT_INTERVAL,
         )
-        if replay != self.result:
+        if replay.result != self.result:
             raise RuntimeError(
                 f"checkpoint replay of {self.program.name!r} diverged from the "
-                f"golden run ({replay.termination.value} at cycle {replay.cycles} "
-                f"vs {self.result.termination.value} at cycle {self.result.cycles})"
+                f"golden run ({replay.result.termination.value} at cycle "
+                f"{replay.cycles} vs {self.result.termination.value} at cycle "
+                f"{self.result.cycles})"
             )
-        self.checkpoints = timeline
-        return timeline
+        self.checkpoints = replay.checkpoints
+        return self.checkpoints
 
 
 def capture_golden(
@@ -99,10 +93,11 @@ def capture_golden(
 ) -> GoldenRecord:
     """Run ``program`` fault-free and capture its architectural outcome.
 
-    ``checkpoint_interval`` (if given) snapshots the machine state every
-    that many cycles during this same run, enabling fast-forwarded
-    injection; leave it ``None`` to skip the snapshot cost (checkpoints can
-    still be added later with :meth:`GoldenRecord.ensure_checkpoints`).
+    ``checkpoint_interval`` (if given) snapshots the machine state at
+    cycle 0 and every that many cycles after it during this same run,
+    enabling fast-forwarded injection; leave it ``None`` to skip the
+    snapshot cost (checkpoints can still be added later with
+    :meth:`GoldenRecord.ensure_checkpoints`).
 
     Raises ``RuntimeError`` if the fault-free run does not terminate
     normally — a broken workload would silently poison every reliability
@@ -113,8 +108,7 @@ def capture_golden(
     timeline: Optional[CheckpointTimeline] = None
     if checkpoint_interval is not None:
         timeline = CheckpointTimeline(checkpoint_interval)
-    cpu = OutOfOrderCpu(program, config, tracer=tracer,
-                        record_reads=True if timeline is not None else None)
+    cpu = OutOfOrderCpu(program, config, tracer=tracer)
     result = cpu.run(
         max_cycles=max_cycles,
         max_instructions=max_instructions,

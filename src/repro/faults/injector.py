@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.faults.classification import (
@@ -50,8 +50,7 @@ def inject_fault(
     fault: FaultSpec,
     simpoint_mode: bool = False,
     fast_forward: bool = False,
-    checkpoint: Optional[CpuState] = None,
-    reuse_cpu: Optional[OutOfOrderCpu] = None,
+    pool: Optional[Tuple[OutOfOrderCpu, CpuState]] = None,
 ) -> InjectionOutcome:
     """Run the workload with ``fault`` injected and classify the outcome.
 
@@ -80,12 +79,14 @@ def inject_fault(
     Both paths are bit-identical in classification and in every
     :class:`SimulationResult` field (enforced by the differential harness
     in ``tests/integration/test_checkpoint_equivalence.py``).
-    ``checkpoint`` lets a cycle-sorted campaign scheduler pass a pre-looked
-    -up restore point shared by a batch of faults — on the cold path the
-    campaign passes the cycle-0 initial state, so pooled runs stay exact —
-    and ``reuse_cpu`` a pooled CPU object to restore into (a restore
-    resets *all* machine state, so reuse is exact; only used when a
-    restore actually happens).
+
+    ``pool`` is a campaign's ``(cpu, initial_state)`` pair from
+    :func:`~repro.uarch.checkpoint.new_restore_pool`: the run restores
+    into that CPU (a restore resets *all* machine state, so reuse is
+    exact), from the timeline's nearest checkpoint when fast-forwarding
+    and from ``initial_state`` otherwise.  Without a pool every run builds
+    a fresh CPU, the reference path the equivalence suites compare
+    against.
 
     Any exception the simulator raises is classified as a Crash, like
     the modelled ones (``ProgramCrash``, ``SimulatorAssertError``) that
@@ -112,33 +113,21 @@ def inject_fault(
     start_cycle = 0
     try:
         cycle_hook = None
-        start = checkpoint
-        if timeline is not None and len(timeline):
-            if start is None:
-                start = timeline.nearest(fault.cycle)
-            cycle_hook = make_reconvergence_hook(timeline, fault, golden.result)
-        if start is not None and reuse_cpu is not None:
-            cpu = reuse_cpu
-            cpu.fault_plan = fault_plan
-            if cycle_hook is not None:
-                # Reconvergence compares snapshots against the golden
-                # timeline, whose entries carry structure-read logs; a
-                # pooled CPU built without recording would silently never
-                # reconverge, so the invariant is enforced here (the
-                # restore below rebuilds all in-flight state, so flipping
-                # the flag is safe).
-                cpu.record_reads = True
+        if pool is None:
+            cpu, start = OutOfOrderCpu(golden.program, golden.config), None
         else:
-            # Fast-forwarded runs must record structure reads so their
-            # snapshots stay comparable against the golden timeline's.
-            cpu = OutOfOrderCpu(golden.program, golden.config, fault_plan=fault_plan,
-                                record_reads=cycle_hook is not None or None)
+            cpu, start = pool
+        cpu.fault_plan = fault_plan
+        if timeline is not None:
+            start = timeline.nearest(fault.cycle)
+            cycle_hook = make_reconvergence_hook(timeline, fault, golden.result)
         if start is not None:
             cpu.restore(start)
             start_cycle = start.cycle
             if obs_ctx is not None and start.cycle:
-                # A cycle-0 restore is the pooled cold path, not a
-                # fast-forward; only mid-run restores save simulation.
+                # A cycle-0 restore (the pooled cold path, or a fault
+                # before the second checkpoint) is not a fast-forward;
+                # only mid-run restores save simulation.
                 obs_ctx.checkpoint_restore(start.cycle)
         result = cpu.run(
             max_cycles=max_cycles,

@@ -24,7 +24,11 @@ from repro.faults.sampling import generate_fault_list
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.isa.registers import Reg as R
-from repro.uarch.checkpoint import DEFAULT_INTERVAL, _flip_sites_dead
+from repro.uarch.checkpoint import (
+    DEFAULT_INTERVAL,
+    _flip_sites_dead,
+    capture_state,
+)
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.pipeline import OutOfOrderCpu
 from repro.uarch.structures import (
@@ -40,6 +44,7 @@ __all__ = [
     "shared_loop_golden",
     "shared_fault_list",
     "dead_index_disagreements",
+    "timeline_disagreements",
     "ProgressRecorder",
 ]
 
@@ -213,4 +218,40 @@ def dead_index_disagreements(program: Program,
     replay = OutOfOrderCpu(program, config).run(cycle_hook=compare)
     if replay != golden.result:
         raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
+    return counts[0], counts[1]
+
+
+def timeline_disagreements(program: Program,
+                           config: Optional[MicroarchConfig] = None
+                           ) -> Tuple[int, int]:
+    """Check a golden run's inline checkpoint timeline against its oracle.
+
+    Captures ``program``'s traced golden run with the inline timeline (as
+    a checkpointing session does), replays it untraced, and at every
+    checkpointed cycle compares the replay's :func:`capture_state` with
+    the timeline's composed state; a traced and an untraced run must
+    snapshot alike.  One more pair compares the payload of
+    :meth:`~repro.faults.golden.GoldenRecord.ensure_checkpoints` on an
+    untraced golden with the inline timeline's.  Returns ``(pairs
+    checked, disagreements)``.
+    """
+    config = config if config is not None else MicroarchConfig()
+    golden = capture_golden(program, config, trace=True,
+                            checkpoint_interval=DEFAULT_INTERVAL)
+    timeline = golden.checkpoints
+    counts = [0, 0]
+
+    def compare(cpu: OutOfOrderCpu) -> None:
+        state = timeline.state_at(cpu.cycle)
+        if state is not None:
+            counts[0] += 1
+            counts[1] += capture_state(cpu) != state
+        return None
+
+    replay = OutOfOrderCpu(program, config).run(cycle_hook=compare)
+    if replay != golden.result:
+        raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
+    lazy = capture_golden(program, config, trace=False).ensure_checkpoints()
+    counts[0] += 1
+    counts[1] += lazy.to_payload() != timeline.to_payload()
     return counts[0], counts[1]

@@ -75,6 +75,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.uarch.pipeline import (
@@ -86,8 +87,8 @@ from repro.uarch.pipeline import (
 from repro.uarch.stats import SimStats
 from repro.uarch.structures import WORDS_PER_LINE, TargetStructure
 
-#: Default snapshot spacing (cycles) when capturing inline during a golden
-#: run whose length is not yet known.
+#: Snapshot spacing (cycles) of every golden timeline, captured inline or
+#: replayed, until thinning doubles it.
 DEFAULT_INTERVAL = 64
 
 #: Default bound on stored checkpoints; when exceeded the timeline thins
@@ -194,9 +195,6 @@ def _encode_entry(entry: _InFlightUop, macro_index: int, uop_pos: int) -> Tuple:
         entry.latency,
         entry.demand,
         entry.crash_reason,
-        tuple(entry.rf_reads),
-        tuple(entry.sq_reads),
-        tuple(entry.l1d_reads),
         entry.actual_next,
         entry.actual_taken,
         entry.mem_address,
@@ -207,8 +205,7 @@ def _encode_entry(entry: _InFlightUop, macro_index: int, uop_pos: int) -> Tuple:
 def _decode_entry(state: Tuple, macros: List[_MacroContext]) -> _InFlightUop:
     (uop_pos, macro_index, seq, phys_dest, prev_phys, src_phys, src_imm,
      issued, complete, squashed, result, latency, demand, crash_reason,
-     rf_reads, sq_reads, l1d_reads, actual_next, actual_taken, mem_address,
-     lq_allocated) = state
+     actual_next, actual_taken, mem_address, lq_allocated) = state
     macro = macros[macro_index]
     entry = _InFlightUop(macro.uops[uop_pos], macro, seq)
     entry.phys_dest = phys_dest
@@ -223,9 +220,6 @@ def _decode_entry(state: Tuple, macros: List[_MacroContext]) -> _InFlightUop:
     entry.latency = latency
     entry.demand = demand
     entry.crash_reason = crash_reason
-    entry.rf_reads = list(rf_reads)
-    entry.sq_reads = list(sq_reads)
-    entry.l1d_reads = list(l1d_reads)
     entry.actual_next = actual_next
     entry.actual_taken = actual_taken
     entry.mem_address = mem_address
@@ -295,9 +289,11 @@ def capture_state(cpu: OutOfOrderCpu) -> CpuState:
     """Snapshot ``cpu`` at a cycle boundary into a :class:`CpuState`.
 
     Must be called between cycles (as :meth:`OutOfOrderCpu.run` does via
-    its ``cycle_hook``), never from inside ``_step``.  The access tracer
-    and the profiling ``commit_log`` are deliberately excluded: they do
-    not influence simulation dynamics, and restored CPUs never trace.
+    its ``cycle_hook``), never from inside ``_step``.  Only simulation
+    state is captured: the access tracer, the profiling ``commit_log`` and
+    the in-flight micro-ops' structure-read logs (which only the tracer
+    reads, at commit) do not influence simulation dynamics, and restored
+    CPUs never trace.
     """
     macros, entries, rob_len, issue_queue, completions, decode_queue = (
         _encode_inflight(cpu)
@@ -638,16 +634,23 @@ def restore_state(cpu: OutOfOrderCpu, state: CpuState) -> None:
     """Restore ``cpu`` in place from ``state``.
 
     ``cpu`` must have been constructed for the same program and
-    configuration the state was captured from; its fault plan and tracer
-    are left untouched, so a freshly constructed injection CPU keeps its
-    pending flips after the restore.  Restoring resets *all* mutable
+    configuration the state was captured from; its fault plan is left
+    untouched, so a freshly constructed injection CPU keeps its pending
+    flips after the restore.  Restoring resets *all* mutable
     machine state, so one CPU object can be reused (restored repeatedly)
-    across many injection runs — the campaign scheduler does exactly that
-    to amortise construction cost.  Repeated restores of the *same* state
+    across many injection runs — a campaign's restore pool does exactly
+    that to amortise construction cost.  Repeated restores of the *same* state
     object take a fast path: dirty tracking (enabled on the first restore)
     pins down everything the previous run touched, and only those entries
     are rewritten.
+
+    Raises ``ValueError`` when ``cpu`` traces: the state carries no
+    structure-read logs, so a traced run after a restore would commit an
+    incomplete access trace.
     """
+    if cpu.tracer.enabled:
+        raise ValueError("cannot restore into a tracing CPU: snapshots "
+                         "carry no structure-read logs")
     if cpu._restore_base is state and cpu.delta_tracking:
         _restore_touched(cpu, state)
     else:
@@ -707,16 +710,14 @@ def restore_state(cpu: OutOfOrderCpu, state: CpuState) -> None:
     cpu._waiters = waiters
 
 
-def new_restore_pool(program, config, record_reads: bool = False):
+def new_restore_pool(program, config):
     """Build a pooled injection CPU plus its captured cycle-0 state.
 
     One such pair per campaign serves every injection: each run restores
     either a golden checkpoint or the initial state into the same CPU
     (repeated restores of one state object take the dirty-set fast path).
-    ``record_reads`` must be True for checkpointed campaigns — their
-    snapshots are compared against the golden timeline's, which records.
     """
-    cpu = OutOfOrderCpu(program, config, record_reads=record_reads)
+    cpu = OutOfOrderCpu(program, config)
     return cpu, capture_state(cpu)
 
 
@@ -868,11 +869,13 @@ class CheckpointTimeline:
     """Evenly spaced golden-run checkpoints with bounded storage.
 
     Capture via :meth:`observe`, passed as :meth:`OutOfOrderCpu.run`'s
-    ``cycle_hook`` during the golden run: it snapshots the machine every
-    ``interval`` cycles at commit boundaries.  When more than
-    ``max_checkpoints`` accumulate, every other checkpoint is dropped and
-    the interval doubles, so storage stays bounded without knowing the
-    run length in advance.
+    ``cycle_hook`` during the golden run: it snapshots the machine at the
+    first boundary it observes (cycle 0) and then every ``interval``
+    cycles at commit boundaries.  When more than ``max_checkpoints``
+    accumulate, every other checkpoint is dropped and the interval
+    doubles, so storage stays bounded without knowing the run length in
+    advance.  Thinning never drops the base, so on a captured timeline
+    :meth:`nearest` always finds a restore point.
 
     Storage is *delta-based*: the first checkpoint is a full
     :class:`CpuState`; every later one is a :class:`DeltaState` holding
@@ -881,8 +884,8 @@ class CheckpointTimeline:
     :meth:`observe` arms at the first capture).  ``nearest``/``state_at``
     compose full states on demand and memoise them, so consumers keep
     seeing plain :class:`CpuState` values — one object identity per
-    checkpoint, as the batch scheduler and the pooled-restore fast path
-    expect.
+    checkpoint, so cycle-adjacent faults restore the same object and keep
+    the pooled-restore fast path.
     """
 
     def __init__(self, interval: int = DEFAULT_INTERVAL,
@@ -898,7 +901,7 @@ class CheckpointTimeline:
         #: Lazily composed full states, parallel to _records.
         self._composed: List[Optional[CpuState]] = []
         self._cycles: List[int] = []
-        self._next_cycle = interval
+        self._next_cycle = 0
         # When thinning drops the most recent checkpoint, the machine's
         # dirty sets still refer to it: the dropped trailing deltas (and
         # the full state they compose to) are parked here and merged into
@@ -925,12 +928,8 @@ class CheckpointTimeline:
             return None
         if not self._records:
             state = capture_state(cpu)
-            # Arm dirty tracking so every later capture is a delta.  A
-            # parked thinning tail (possible when thinning dropped every
-            # checkpoint) is obsolete: the new base is complete by itself.
+            # Arm dirty tracking so every later capture is a delta.
             cpu.enable_delta_tracking()
-            self._tail_delta = None
-            self._tail_full = None
             self._records.append(state)
             self._composed.append(state)
             cycle = state.cycle
@@ -970,53 +969,35 @@ class CheckpointTimeline:
     def _thin(self) -> None:
         """Drop every other checkpoint and double the interval.
 
-        Dropped deltas are merged into their successors; when the base
-        itself is dropped, the first kept checkpoint is composed into the
-        new full base.
+        Dropped deltas are merged into their successors.  The base is
+        always kept: it is the first record (cycle 0 on a golden run).
         """
         self.interval *= 2
         interval = self.interval
-        kept = [i for i, cycle in enumerate(self._cycles) if cycle % interval == 0]
-        if kept and kept[-1] != len(self._records) - 1:
+        kept = [i for i, cycle in enumerate(self._cycles)
+                if i == 0 or cycle % interval == 0]
+        if kept[-1] != len(self._records) - 1:
             # The newest checkpoint is being dropped, but the machine's
             # dirty sets are relative to it: park the trailing deltas and
             # the full state they reach so the next capture can re-base.
             self._tail_full = self._full(len(self._records) - 1)
-            merged = None
-            for k in range(kept[-1] + 1, len(self._records)):
-                record = self._records[k]
-                merged = record if merged is None else merge_deltas(merged, record)
-            self._tail_delta = merged
-        new_records: List[object] = []
-        new_composed: List[Optional[CpuState]] = []
-        new_cycles: List[int] = []
-        for pos, index in enumerate(kept):
-            if pos == 0:
-                base = self._full(index)
-                new_records.append(base)
-                new_composed.append(base)
-            else:
-                merged = None
-                for k in range(kept[pos - 1] + 1, index + 1):
-                    record = self._records[k]
-                    merged = (record if merged is None
-                              else merge_deltas(merged, record))
-                new_records.append(merged)
-                new_composed.append(self._composed[index])
-            new_cycles.append(self._cycles[index])
-        self._records = new_records
-        self._composed = new_composed
-        self._cycles = new_cycles
-        last = new_cycles[-1] if new_cycles else 0
-        self._next_cycle = last + interval
+            self._tail_delta = reduce(merge_deltas, self._records[kept[-1] + 1:])
+        self._records = [self._records[0]] + [
+            reduce(merge_deltas, self._records[previous + 1:index + 1])
+            for previous, index in zip(kept, kept[1:])
+        ]
+        self._composed = [self._composed[index] for index in kept]
+        self._cycles = [self._cycles[index] for index in kept]
+        self._next_cycle = self._cycles[-1] + interval
 
     # ------------------------------------------------------------------
     def nearest(self, cycle: int) -> Optional[CpuState]:
-        """The latest checkpoint at-or-before ``cycle`` (None when absent).
+        """The latest checkpoint at-or-before ``cycle``.
 
         A checkpoint taken *at* the injection cycle is usable: snapshots
         capture the state at the start of a cycle, before that cycle's
-        fault application.
+        fault application.  None only before the base, which on a golden
+        timeline sits at cycle 0.
         """
         index = bisect.bisect_right(self._cycles, cycle) - 1
         if index < 0:

@@ -174,7 +174,7 @@ class _InFlightUop:
         # in positional order (src1, src2, mem_base).  Both constructors
         # (rename and checkpoint decode) overwrite them, so no lists are
         # allocated here; same for the read logs, which stay pointed at
-        # the shared empty list unless this CPU records reads.
+        # the shared empty list unless this CPU traces.
         self.src_phys: List[Optional[int]] = _NO_READS
         self.src_imm: List[Optional[int]] = _NO_READS
         self.issued = False
@@ -201,9 +201,11 @@ class _InFlightUop:
         return self.uop.upc
 
 
-#: Shared placeholder for the read logs of micro-ops on non-recording
-#: CPUs: nothing ever appends to it (every append site is guarded by
-#: ``record_reads``), so one list serves every entry allocation-free.
+#: Shared placeholder for the read logs of micro-ops on non-tracing CPUs
+#: and of micro-ops decoded from a snapshot (which carries no read logs;
+#: restored CPUs never trace): nothing ever appends to it (every append
+#: site is guarded by ``record_reads``), so one list serves every entry
+#: allocation-free.
 _NO_READS: List = []
 
 
@@ -216,7 +218,6 @@ class OutOfOrderCpu:
         config: Optional[MicroarchConfig] = None,
         tracer: Optional[AccessTracer] = None,
         fault_plan: Optional[Dict[int, List[Tuple]]] = None,
-        record_reads: Optional[bool] = None,
     ):
         self.program = program
         self.config = config or MicroarchConfig()
@@ -224,15 +225,10 @@ class OutOfOrderCpu:
         self.fault_plan = fault_plan or {}
         self.stats = SimStats()
         # Whether in-flight micro-ops log their structure reads
-        # (rf/sq/l1d read lists).  The logs feed the commit-time tracer and
-        # are part of the canonical snapshot encoding, so the flag must be
-        # consistent between a golden run that captures checkpoints and the
-        # injection runs compared against them (both record); pure
-        # cold-start runs skip the bookkeeping entirely.  Default: record
-        # exactly when tracing.
-        self.record_reads = (
-            record_reads if record_reads is not None else self.tracer.enabled
-        )
+        # (rf/sq/l1d read lists).  Only the commit-time tracer reads the
+        # logs and snapshots leave them out, so a CPU records exactly when
+        # it traces.
+        self.record_reads = self.tracer.enabled
 
         self.memory: MemoryImage = program.initial_memory()
         self.icache = InstructionCache(self.config, self.stats)
@@ -398,7 +394,7 @@ class OutOfOrderCpu:
         """Restore this CPU in place from a :meth:`snapshot` value.
 
         The CPU must target the same program and configuration the state
-        was captured from; the fault plan and tracer are preserved.
+        was captured from, and must not trace; the fault plan is preserved.
         """
         from repro.uarch.checkpoint import restore_state
 

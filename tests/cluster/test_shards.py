@@ -1,9 +1,10 @@
 """Sharding: deterministic, checkpoint-aligned, covering, round-trippable."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
-from repro.faults.campaign import schedule_by_checkpoint
 from repro.testing import shared_fault_list, shared_loop_golden
 from repro.uarch.structures import TargetStructure
 
@@ -54,13 +55,15 @@ def test_shards_are_cycle_sorted_and_contiguous(golden, faults):
 
 def test_shard_boundaries_align_with_checkpoint_batches(golden, faults):
     """No shard may straddle a batch boundary while batches still fit."""
-    batches = schedule_by_checkpoint(faults, golden.checkpoints)
-    size = max(len(batch.faults) for batch in batches)
-    shards = shard_faults("run0", faults, golden.checkpoints, shard_size=size)
-    batch_of = {}
-    for index, batch in enumerate(batches):
-        for fault in batch.faults:
-            batch_of[fault.fault_id] = index
+    timeline = golden.checkpoints
+    restore_point = {fault.fault_id: timeline.nearest(fault.cycle).cycle
+                     for fault in faults}
+    # A batch is the faults sharing one restore checkpoint, numbered in
+    # cycle order.
+    used = sorted(set(restore_point.values()))
+    batch_of = {fid: used.index(cycle) for fid, cycle in restore_point.items()}
+    size = max(Counter(batch_of.values()).values())
+    shards = shard_faults("run0", faults, timeline, shard_size=size)
     for shard in shards:
         spanned = {batch_of[fid] for fid in shard.fault_ids}
         # Contiguous run of whole batches: spans [min..max] with no holes

@@ -1,4 +1,5 @@
-"""The README's stated gate floors and engine names match the code.
+"""The README's stated gate floors, engine names, checkpoint spacing and
+performance table match the code and the recorded ``BENCH_simcore.json``.
 
 The floors of the ``benchmarks/`` gates are read from their modules with
 :mod:`ast` rather than imported (they are pytest files, not library
@@ -7,6 +8,7 @@ other fails here.
 """
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -72,3 +74,31 @@ def test_engine_names():
     listed = names.split("|")
     assert len(listed) == len(set(listed))
     assert set(listed) == set(ENGINES)
+
+
+def test_checkpoint_spacing():
+    from repro.uarch.checkpoint import DEFAULT_INTERVAL, DEFAULT_MAX_CHECKPOINTS
+
+    (interval,) = stated(r"then a snapshot every (\d+) cycles")
+    (budget,) = stated(r"whenever more than (\d+) checkpoints accumulate")
+    assert int(interval) == DEFAULT_INTERVAL
+    assert int(budget) == DEFAULT_MAX_CHECKPOINTS
+
+
+def test_performance_table_matches_bench_simcore():
+    """Each row states the recorded baseline, current value and ratio."""
+    bench = json.loads((ROOT / "BENCH_simcore.json").read_text(encoding="utf-8"))
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(
+        r"^\| [^|`]+\(`(\w+)`\) +\| ([\d.]+) +\| ([\d.]+) +\| ([\d.]+)x[^|]*\|$",
+        text, re.MULTILINE)
+    assert [key for key, *_ in rows] == [
+        "cycles_per_sec", "serial_faults_per_sec",
+        "checkpoint_faults_per_sec", "timeline_payload_bytes"]
+    ratio_key = {"timeline_payload_bytes": "timeline_payload_shrink"}
+    for key, baseline, current, ratio in rows:
+        assert float(baseline) == bench["baseline"][key], key
+        assert float(current) == bench["current"][key], key
+        assert float(ratio) == bench["speedup"][ratio_key.get(key, key)], key
+    (checkpoints,) = stated(r"The current timeline holds (\d+) checkpoints")
+    assert int(checkpoints) == bench["current"]["checkpoints"]

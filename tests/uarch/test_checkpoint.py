@@ -18,6 +18,7 @@ from repro.uarch.checkpoint import (
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.pipeline import OutOfOrderCpu
 from repro.uarch.structures import TargetStructure
+from repro.uarch.trace import AccessTracer
 
 
 CONFIG = small_config()
@@ -49,6 +50,20 @@ def test_snapshot_restore_round_trip_is_exact():
         assert capture_state(restored) == state
         # ...and resuming it reproduces the reference run bit for bit.
         assert restored.run() == reference
+
+
+def test_restore_into_a_tracing_cpu_fails_closed():
+    """Snapshots carry no structure-read logs, so a traced run after a
+    restore would commit an incomplete access trace."""
+    cpu = fresh_cpu()
+    for _ in range(40):
+        cpu._step()
+    state = capture_state(cpu)
+    traced = fresh_cpu(tracer=AccessTracer(enabled=True))
+    with pytest.raises(ValueError, match="tracing"):
+        restore_state(traced, state)
+    with pytest.raises(ValueError, match="tracing"):
+        traced.restore(state)
 
 
 def test_snapshot_method_aliases_module_functions():
@@ -208,23 +223,23 @@ def test_timeline_nearest_and_state_at():
     timeline = CheckpointTimeline(interval=50, max_checkpoints=64)
     cpu = fresh_cpu()
     cpu.run(cycle_hook=timeline.observe)
-    assert timeline.nearest(10) is None
-    assert timeline.nearest(49) is None
+    # Before the second checkpoint the cycle-0 base is the restore point.
+    assert timeline.nearest(0).cycle == 0
+    assert timeline.nearest(49) is timeline.state_at(0)
     assert timeline.nearest(50).cycle == 50
     assert timeline.nearest(137).cycle == 100
     assert timeline.state_at(100).cycle == 100
     assert timeline.state_at(101) is None
 
 
-def test_ensure_checkpoints_is_idempotent_even_when_empty():
+def test_ensure_checkpoints_is_never_empty_based_at_zero_and_idempotent():
     from repro.faults.golden import capture_golden
 
     golden = capture_golden(build_loop_program(), CONFIG, trace=False)
-    # Interval far beyond the run length: the timeline stays empty, but it
-    # still counts as captured — repeat calls must not replay the golden
-    # run over and over.
-    first = golden.ensure_checkpoints(interval=10_000_000)
-    assert len(first) == 0
+    first = golden.ensure_checkpoints()
+    assert len(first) > 0
+    assert first.cycles[0] == 0
+    # Repeat calls must not replay the golden run again.
     assert golden.ensure_checkpoints() is first
 
 

@@ -27,9 +27,9 @@ from repro.uarch.structures import TargetStructure
 CONFIG = small_config()
 
 
-def _reference_states(program, cycles, record_reads=True):
+def _reference_states(program, cycles):
     """Full capture_state snapshots of an untouched run at ``cycles``."""
-    cpu = OutOfOrderCpu(program, CONFIG, record_reads=record_reads)
+    cpu = OutOfOrderCpu(program, CONFIG)
     captured = {}
 
     def hook(inner):
@@ -48,7 +48,7 @@ def _reference_states(program, cycles, record_reads=True):
 def test_composed_states_match_full_captures(build):
     program = build()
     timeline = CheckpointTimeline(interval=16, max_checkpoints=64)
-    cpu = OutOfOrderCpu(program, CONFIG, record_reads=True)
+    cpu = OutOfOrderCpu(program, CONFIG)
     cpu.run(cycle_hook=timeline.observe)
     assert len(timeline) > 2, "run too short to exercise deltas"
     # All records after the base must actually be deltas.
@@ -63,7 +63,7 @@ def test_thinning_merges_deltas_exactly():
     program = build_loop_program(40)
     # A tiny bound forces repeated thinning, including dropped-tail cases.
     timeline = CheckpointTimeline(interval=8, max_checkpoints=4)
-    cpu = OutOfOrderCpu(program, CONFIG, record_reads=True)
+    cpu = OutOfOrderCpu(program, CONFIG)
     cpu.run(cycle_hook=timeline.observe)
     assert timeline.interval > 8, "thinning never triggered"
 
@@ -75,7 +75,7 @@ def test_thinning_merges_deltas_exactly():
 def test_nearest_returns_one_identity_per_checkpoint():
     program = build_loop_program()
     timeline = CheckpointTimeline(interval=32, max_checkpoints=16)
-    OutOfOrderCpu(program, CONFIG, record_reads=True).run(
+    OutOfOrderCpu(program, CONFIG).run(
         cycle_hook=timeline.observe)
     cycle = timeline.cycles[-1]
     assert timeline.nearest(cycle) is timeline.nearest(cycle + 5), (
@@ -86,7 +86,7 @@ def test_nearest_returns_one_identity_per_checkpoint():
 def test_payload_round_trip_and_sparsity():
     program = build_loop_program()
     timeline = CheckpointTimeline(interval=32, max_checkpoints=16)
-    OutOfOrderCpu(program, CONFIG, record_reads=True).run(
+    OutOfOrderCpu(program, CONFIG).run(
         cycle_hook=timeline.observe)
 
     payload = timeline.to_payload()
@@ -119,7 +119,7 @@ def test_compose_is_incremental():
     """compose_state applied record by record equals the memoised path."""
     program = build_loop_program()
     timeline = CheckpointTimeline(interval=64, max_checkpoints=32)
-    OutOfOrderCpu(program, CONFIG, record_reads=True).run(
+    OutOfOrderCpu(program, CONFIG).run(
         cycle_hook=timeline.observe)
     state = timeline._records[0]
     for record in timeline._records[1:]:
