@@ -46,8 +46,9 @@ from repro.version import __version__
 
 #: Version folded into every artifact (and its key), so incompatible layout
 #: changes can never resurrect stale artifacts.  3: timelines start at
-#: cycle 0 and snapshots carry no structure-read logs.
-ARTIFACT_SCHEMA_VERSION = 3
+#: cycle 0 and snapshots carry no structure-read logs.  4: the dead-cell
+#: index carries the RF read windows.
+ARTIFACT_SCHEMA_VERSION = 4
 
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3

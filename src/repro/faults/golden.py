@@ -114,6 +114,8 @@ def capture_golden(
         max_instructions=max_instructions,
         cycle_hook=timeline.observe if timeline is not None else None,
     )
+    if timeline is not None:
+        timeline.dead_cells.finish()
     acceptable = (TerminationKind.HALTED, TerminationKind.INTERVAL_END)
     if result.termination not in acceptable:
         raise RuntimeError(

@@ -67,7 +67,9 @@ def inject_fault(
 
     ``fast_forward`` enables the checkpoint engine.  A one-cycle fault
     that lands only in dead cells (free registers, invalid SQ slots or L1D
-    lines) is answered from the golden timeline's
+    lines), or only in RF registers whose next physical access in the
+    golden run is a write or that are never accessed again, is answered
+    from the golden timeline's
     :class:`~repro.uarch.checkpoint.DeadCellIndex` with the golden result:
     no CPU is touched, nothing is restored or stepped.  Any other run
     restores the nearest golden checkpoint at-or-before the injection
@@ -75,7 +77,10 @@ def inject_fault(
     golden result once the faulty state reconverges exactly onto a later
     golden checkpoint (only *after* the fault's active window has closed —
     a still-open window could re-perturb matched state); see
-    :func:`~repro.uarch.checkpoint.make_reconvergence_hook`.
+    :func:`~repro.uarch.checkpoint.make_reconvergence_hook`.  Neither
+    shortcut is taken when the golden run was cut at an instruction
+    budget but ``simpoint_mode`` is off: such a run goes on past the
+    golden run's end, so only its restore point comes from the timeline.
     Both paths are bit-identical in classification and in every
     :class:`SimulationResult` field (enforced by the differential harness
     in ``tests/integration/test_checkpoint_equivalence.py``).
@@ -94,18 +99,27 @@ def inject_fault(
 
     Under :mod:`repro.obs` each call records the cycles it actually
     stepped and why the run ended: the termination kind, ``reconverged``
-    (the run stopped before the cycle count of the result it returns) or
-    ``dead_flip`` (answered from the index).  An exception other than a
+    (the run stopped before the cycle count of the result it returns),
+    ``dead_flip`` (answered from the index: every flipped cell dead) or
+    ``unread_flip`` (answered from the index: no flipped register read
+    before it is overwritten or the run ends).  An exception other than a
     modelled one is also counted in ``repro_internal_errors_total{type}``:
     it is a simulator bug, not a modelled crash.
     """
     obs_ctx = obs.active()
     timeline = golden.checkpoints if fast_forward else None
-    if (timeline is not None and fault.last_active_cycle == fault.cycle
-            and timeline.dead_cells.all_dead(fault)):
-        result = clone_result(golden.result)
-        return _outcome(golden, fault, result, simpoint_mode, obs_ctx,
-                        0, "dead_flip")
+    # A run that equals the golden run from some cycle on returns the
+    # golden result only if it also stops where the golden run did: a
+    # golden run cut at an instruction budget is matched by a SimPoint
+    # injection alone, which stops at the same count.
+    golden_end = (simpoint_mode
+                  or golden.result.termination is not TerminationKind.INTERVAL_END)
+    if timeline is not None and golden_end:
+        reason = timeline.dead_cells.masked_reason(fault)
+        if reason is not None:
+            result = clone_result(golden.result)
+            return _outcome(golden, fault, result, simpoint_mode, obs_ctx,
+                            0, reason)
     fault_plan = fault.plan()
     max_cycles = max(golden.timeout_cycles(TIMEOUT_FACTOR), fault.cycle + 1)
     max_instructions = golden.committed_instructions if simpoint_mode else None
@@ -120,7 +134,8 @@ def inject_fault(
         cpu.fault_plan = fault_plan
         if timeline is not None:
             start = timeline.nearest(fault.cycle)
-            cycle_hook = make_reconvergence_hook(timeline, fault, golden.result)
+            if golden_end:
+                cycle_hook = make_reconvergence_hook(timeline, fault, golden.result)
         if start is not None:
             cpu.restore(start)
             start_cycle = start.cycle

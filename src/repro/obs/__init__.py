@@ -103,7 +103,7 @@ class ObsContext:
         self._run_ends = registry.counter(
             "repro_run_end_total",
             "Injection runs by why they ended: the termination kind, "
-            "reconverged or dead_flip.",
+            "reconverged, dead_flip or unread_flip.",
             labels=("reason",),
         )
         self._internal_errors = registry.counter(

@@ -15,10 +15,12 @@ and does not perturb results).
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.faults.golden import GoldenRecord, capture_golden
+from repro.faults.injector import inject_fault
 from repro.faults.model import FaultList, FaultSpec
 from repro.faults.sampling import generate_fault_list
 from repro.isa.builder import ProgramBuilder
@@ -44,6 +46,7 @@ __all__ = [
     "shared_loop_golden",
     "shared_fault_list",
     "dead_index_disagreements",
+    "unread_index_disagreements",
     "timeline_disagreements",
     "ProgressRecorder",
 ]
@@ -219,6 +222,43 @@ def dead_index_disagreements(program: Program,
     if replay != golden.result:
         raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
     return counts[0], counts[1]
+
+
+def unread_index_disagreements(program: Program,
+                               config: Optional[MicroarchConfig] = None,
+                               sample: Optional[int] = None,
+                               seed: int = 0) -> Tuple[int, int]:
+    """Check a golden timeline's RF read windows by injection.
+
+    Captures ``program``'s golden run with a checkpoint timeline and
+    collects every (register, cycle) pair the dead-cell index answers as
+    unread but not dead: the ``unread_flip`` faults, which only the read
+    windows settle.  ``sample`` of them (all when None) are drawn with
+    ``seed``, each gets a bit drawn with the same generator, and each is
+    injected on the reference path: a fresh CPU from cycle 0, no
+    fast-forward.  A result that differs from the golden result in any
+    field is a disagreement.  Returns ``(faults injected,
+    disagreements)``.
+    """
+    config = config if config is not None else MicroarchConfig()
+    golden = capture_golden(program, config, trace=False,
+                            checkpoint_interval=DEFAULT_INTERVAL)
+    index = golden.checkpoints.dead_cells
+    geometry = structure_geometry(TargetStructure.RF, config)
+    pairs = [(reg, cycle)
+             for cycle in range(golden.cycles)
+             for reg in range(geometry.num_entries)
+             if index.unread(reg, cycle)
+             and not index.dead(TargetStructure.RF, reg, cycle)]
+    rng = random.Random(seed)
+    if sample is not None and sample < len(pairs):
+        pairs = rng.sample(pairs, sample)
+    disagreements = 0
+    for reg, cycle in pairs:
+        fault = FaultSpec(0, TargetStructure.RF, entry=reg,
+                          bit=rng.randrange(geometry.bits_per_entry), cycle=cycle)
+        disagreements += inject_fault(golden, fault).result != golden.result
+    return len(pairs), disagreements
 
 
 def timeline_disagreements(program: Program,

@@ -65,9 +65,11 @@ Dead-cell index
 Many faults need no run at all.  The timeline also records, at every
 cycle boundary of the golden run, which RF registers, SQ slots and L1D
 lines are *dead* — free storage whose next access is a full overwrite
-(:class:`DeadCellIndex`).  A one-cycle fault that lands only in dead
-cells is masked exactly, so the injector answers it from the index before
-any restore.
+(:class:`DeadCellIndex`) — and, for the RF, from which boundaries a
+register's next physical access is a read.  A one-cycle fault that lands
+only in dead cells, or only in RF registers that are not read before
+they are written again, is masked exactly, so the injector answers it
+from the index before any restore.
 """
 
 from __future__ import annotations
@@ -754,6 +756,32 @@ class DeadCellIndex:
     - so every later read, and therefore the whole
       :class:`SimulationResult`, equals the golden run's.
 
+    For the RF the index also keeps, per register, the boundaries from
+    which its next physical access in the golden run is a read
+    (:meth:`unread`).  A one-cycle flip into a register that is not read
+    before it is written again, or before the run ends, is masked too,
+    allocated or not:
+
+    - up to the fault cycle the injection run equals the golden run, as
+      above;
+    - every value read is logged: operand reads at issue and address
+      generation, by any uop, squashed and replayed ones included, since
+      a wrong-path read can still steer the cache and the timing; the
+      pipeline reads register values nowhere else;
+    - writeback overwrites all 64 bits of the register, and within a
+      cycle it runs before issue, so a write and a read in the same cycle
+      order as they happen;
+    - a :class:`SimulationResult` carries no register values, so a flip
+      that is never read leaves every field of it as the golden run's.
+
+    Like the reconvergence exit, this holds only for an injection run
+    that ends where the golden run did, as the injector checks: a golden
+    run that halted, or a SimPoint injection, which stops at the golden
+    run's instruction count.  The RF rule
+    subsumes deadness (a free register, if accessed again, is written
+    before it is read), but :meth:`masked_reason` still names a dead flip
+    ``dead_flip``; the SQ and L1D keep deadness only.
+
     Windowed faults (intermittent, stuck-at) are never answered: a later
     application could land after the cell comes back to life.
 
@@ -765,7 +793,9 @@ class DeadCellIndex:
     O(changes) too: at its first boundary the index arms the free list,
     store queue and L1D, which from then on log every unit they move into
     or out of use (``begin_toggle_log``), and each later boundary drains
-    those logs.
+    those logs.  The CPU's RF access log (``begin_rf_access_log``) is
+    armed and drained the same way, and :meth:`finish` drains the run's
+    last step, which no boundary follows.
     """
 
     def __init__(self) -> None:
@@ -776,6 +806,14 @@ class DeadCellIndex:
         self._toggles: Dict[TargetStructure, List[List[int]]] = {}
         #: (component log, per-unit toggles) pairs drained by observe.
         self._logs: Tuple[Tuple[List[int], List[List[int]]], ...] = ()
+        #: Per RF register: the boundaries at which "its next access is a
+        #: read" flipped; None until :meth:`finish` closes the run.
+        self._reads: Optional[List[List[int]]] = None
+        #: While capturing: the CPU's RF access log, the read windows so
+        #: far, and per register its last accessed cycle and whether the
+        #: window ending there is read-first.
+        self._rf_capture: Optional[Tuple[List[int], List[List[int]],
+                                         List[int], List[bool]]] = None
 
     def observe(self, cpu: OutOfOrderCpu) -> None:
         """Record the units whose deadness changed since the last boundary."""
@@ -794,6 +832,46 @@ class DeadCellIndex:
                 for unit in log:
                     toggles[unit].append(cycle)
                 log.clear()
+        if self._rf_capture is not None:
+            self._drain_reads(cycle - 1)
+
+    def finish(self) -> None:
+        """Close the run once the golden run has returned.
+
+        The run's last step follows its last observed boundary (an
+        instruction budget ends it after a full cycle), so its RF accesses
+        are drained here; then every register still waiting for a read
+        window to end gets its last one closed, since nothing reads it
+        before the run ends.  Until this is called, :meth:`unread` answers
+        nothing.
+        """
+        if self._rf_capture is None:
+            return
+        self._drain_reads(self.last)
+        _, reads, seen, live = self._rf_capture
+        for reg, cycles in enumerate(reads):
+            if live[reg]:
+                cycles.append(seen[reg] + 1)
+        self._reads = reads
+        self._rf_capture = None
+
+    def _drain_reads(self, cycle: int) -> None:
+        """Fold the RF accesses of ``cycle`` into the read windows.
+
+        A register's first access in a cycle decides every boundary since
+        the cycle it was last accessed in: the flip at such a boundary is
+        read if that access is a read, overwritten if it is a write.
+        """
+        log, reads, seen, live = self._rf_capture
+        for code in log:
+            read = code >= 0
+            reg = code if read else ~code
+            if seen[reg] != cycle:
+                if live[reg] != read:
+                    reads[reg].append(seen[reg] + 1)
+                    live[reg] = read
+                seen[reg] = cycle
+        log.clear()
 
     def _start(self, cpu: OutOfOrderCpu) -> None:
         cycle = self.first = self.last = cpu.cycle
@@ -817,6 +895,10 @@ class DeadCellIndex:
             (cpu.store_queue.begin_toggle_log(), self._toggles[TargetStructure.SQ]),
             (cpu.dcache.begin_toggle_log(), self._toggles[TargetStructure.L1D]),
         )
+        num_regs = cpu.prf.num_regs
+        self._rf_capture = (cpu.begin_rf_access_log(),
+                            [[] for _ in range(num_regs)],
+                            [cycle - 1] * num_regs, [False] * num_regs)
 
     # ------------------------------------------------------------------
     def dead(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
@@ -836,29 +918,61 @@ class DeadCellIndex:
         return all(self.dead(structure, entry, cycle)
                    for entry in fault.flip_entries())
 
+    def unread(self, entry: int, cycle: int) -> bool:
+        """Whether RF register ``entry`` is not read before it is written
+        again, or before the run ends, from boundary ``cycle`` on.
+
+        False before :meth:`finish` and outside the observed boundaries.
+        """
+        reads = self._reads
+        if reads is None or not self.first <= cycle <= self.last:
+            return False
+        return not bisect.bisect_right(reads[entry], cycle) & 1
+
+    def masked_reason(self, fault) -> Optional[str]:
+        """Why the golden run alone shows ``fault`` masked, or None.
+
+        Only one-cycle faults qualify.  ``dead_flip`` when every flip
+        entry is dead; for an RF fault, ``unread_flip`` when no flipped
+        register is read before its next write or the run's end.
+        """
+        if fault.last_active_cycle != fault.cycle:
+            return None
+        if self.all_dead(fault):
+            return "dead_flip"
+        cycle = fault.cycle
+        if (fault.structure is TargetStructure.RF
+                and all(self.unread(entry, cycle) for entry in fault.flip_entries())):
+            return "unread_flip"
+        return None
+
     # ------------------------------------------------------------------
     def to_payload(self) -> Tuple:
         """Pure data: the observed range, then per structure its unit
         count and the units' toggle cycles (units that never toggle are
-        omitted)."""
+        omitted), then the RF read windows per register (None before
+        :meth:`finish`)."""
+        reads = self._reads
         return (self.first, self.last, tuple(
             (structure.name,
              len(toggles),
              tuple((unit, tuple(cycles))
                    for unit, cycles in enumerate(toggles) if cycles))
             for structure, toggles in self._toggles.items()
-        ))
+        ), None if reads is None else tuple(tuple(cycles) for cycles in reads))
 
     @classmethod
     def from_payload(cls, payload: Tuple) -> "DeadCellIndex":
         """Inverse of :meth:`to_payload`; the result answers, never observes."""
         index = cls()
-        index.first, index.last, structures = payload
+        index.first, index.last, structures, reads = payload
         for name, count, toggled in structures:
             toggles: List[List[int]] = [[] for _ in range(count)]
             for unit, cycles in toggled:
                 toggles[unit] = list(cycles)
             index._toggles[TargetStructure[name]] = toggles
+        if reads is not None:
+            index._reads = [list(cycles) for cycles in reads]
         return index
 
 
@@ -1190,9 +1304,9 @@ def make_reconvergence_hook(
     that cannot have reconverged pay only O(1) pre-checks per checkpoint
     (scalar divergence counters, then the faulted cells themselves).
 
-    Faults that land only in dead cells never get here:
-    :func:`~repro.faults.injector.inject_fault` answers them from the
-    timeline's :class:`DeadCellIndex` before any restore.
+    Faults that land only in dead cells, or only in unread RF registers,
+    never get here: :func:`~repro.faults.injector.inject_fault` answers
+    them from the timeline's :class:`DeadCellIndex` before any restore.
     """
     last_active = fault.last_active_cycle
 

@@ -229,6 +229,10 @@ class OutOfOrderCpu:
         # logs and snapshots leave them out, so a CPU records exactly when
         # it traces.
         self.record_reads = self.tracer.enabled
+        # Physical RF accesses in the order they happen (a read as the
+        # register, a full-width write as its complement) while a
+        # dead-cell index records the run (None otherwise).
+        self._rf_log: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
         self.memory: MemoryImage = program.initial_memory()
         self.icache = InstructionCache(self.config, self.stats)
@@ -416,6 +420,16 @@ class OutOfOrderCpu:
         self.memory.begin_dirty_tracking()
         self.delta_tracking = True
 
+    def begin_rf_access_log(self) -> List[int]:
+        """Log every physical register read and write from now on.
+
+        Returns the log; the caller drains it.  A read (at issue or at
+        address generation, by any uop, squashed or replayed ones
+        included) appends the register, a writeback appends ``~register``.
+        """
+        self._rf_log = []
+        return self._rf_log
+
     def _drain_remaining_stores(self) -> None:
         """Drain committed stores left in the SQ when the run stops.
 
@@ -572,6 +586,7 @@ class OutOfOrderCpu:
             return
         prf = self.prf
         tracing = self.tracer.enabled
+        rf_log = self._rf_log
         waiters = self._waiters
         for entry in finishing:
             if entry.squashed:
@@ -581,6 +596,8 @@ class OutOfOrderCpu:
             phys_dest = entry.phys_dest
             if uop.dest is not None and phys_dest is not None:
                 prf.write(phys_dest, entry.result)
+                if rf_log is not None:
+                    rf_log.append(~phys_dest)
                 waiting = waiters.pop(phys_dest, None)
                 if waiting is not None:
                     for waiter in waiting:
@@ -737,6 +754,8 @@ class OutOfOrderCpu:
         if phys is not None:
             if self.record_reads:
                 entry.rf_reads.append((phys, self.cycle))
+            if self._rf_log is not None:
+                self._rf_log.append(phys)
             return self.prf.values[phys]
         imm = entry.src_imm[position]
         return to_unsigned(imm if imm is not None else 0)
@@ -768,6 +787,8 @@ class OutOfOrderCpu:
         if phys is not None:
             if self.record_reads:
                 entry.rf_reads.append((phys, self.cycle))
+            if self._rf_log is not None:
+                self._rf_log.append(phys)
             base = self.prf.values[phys]
         else:
             imm = entry.src_imm[2]
@@ -781,6 +802,8 @@ class OutOfOrderCpu:
         if phys is not None:
             if self.record_reads:
                 entry.rf_reads.append((phys, self.cycle))
+            if self._rf_log is not None:
+                self._rf_log.append(phys)
             base = self.prf.values[phys]
         else:
             imm = entry.src_imm[2]

@@ -31,7 +31,7 @@ def observed_run(engine_name, tmp_path):
     return outcome.comprehensive, ctx.registry
 
 
-EARLY = {"reconverged", "dead_flip"}
+EARLY = {"reconverged", "dead_flip", "unread_flip"}
 
 
 def end_reasons(registry):
@@ -60,3 +60,14 @@ def test_stepped_cycles_cold_equal_logical_and_checkpoint_step_fewer(tmp_path):
     assert warm.simulated_cycles == cold.simulated_cycles
     assert (0 < warm_registry.total("repro_stepped_cycles_total")
             < cold.simulated_cycles)
+
+
+def test_unread_flips_are_answered_and_counted_once(tmp_path):
+    """RF flips that the golden run overwrites, or never reads again,
+    end as ``unread_flip`` on the fast-forward path; every injection
+    still has exactly one end reason."""
+    result, registry = observed_run("checkpoint", tmp_path)
+    reasons = end_reasons(registry)
+    assert reasons.get("unread_flip", 0) > 0
+    assert sum(reasons.values()) == registry.total("repro_injections_total")
+    assert registry.total("repro_injections_total") == result.injections

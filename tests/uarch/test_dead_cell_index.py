@@ -19,6 +19,7 @@ from repro.cluster.artifacts import ArtifactCache
 from repro.faults.golden import capture_golden
 from repro.testing import dead_index_disagreements, small_config
 from repro.uarch.checkpoint import DEFAULT_INTERVAL, CheckpointTimeline
+from repro.uarch.pipeline import OutOfOrderCpu
 from repro.uarch.structures import (
     WORDS_PER_LINE,
     TargetStructure,
@@ -113,3 +114,63 @@ def test_old_schema_artifact_misses_and_is_rebuilt(tmp_path, monkeypatch):
     with obs.observe() as ctx:
         Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(spec)
     assert ctx.registry.value("repro_artifact_cache_hits_total", role="main") == 1
+
+
+def unread_answers(index, config, cycles):
+    """Every (register, cycle) RF read-window answer."""
+    return [[index.unread(reg, cycle) for cycle in cycles]
+            for reg in range(config.num_phys_int_regs)]
+
+
+def test_payload_round_trip_answers_unread_identically(inline_golden):
+    index = inline_golden.checkpoints.dead_cells
+    back = CheckpointTimeline.from_payload(
+        inline_golden.checkpoints.to_payload()).dead_cells
+    cycles = range(index.first - 1, index.last + 2)
+    config = inline_golden.config
+    answers = unread_answers(index, config, cycles)
+    assert any(any(row) for row in answers)
+    assert unread_answers(back, config, cycles) == answers
+
+
+def test_lazy_replay_builds_the_inline_read_windows(inline_golden):
+    lazy = capture_golden(build_program("qsort", 1), small_config(), trace=False)
+    replayed = lazy.ensure_checkpoints().dead_cells
+    index = inline_golden.checkpoints.dead_cells
+    cycles = range(index.first, index.last + 1)
+    config = inline_golden.config
+    assert unread_answers(replayed, config, cycles) == unread_answers(
+        index, config, cycles)
+
+
+def test_an_unfinished_index_answers_no_unread_flip():
+    """Read windows exist only once the run has ended."""
+    program, config = build_program("qsort", 1), small_config()
+    timeline = CheckpointTimeline()
+    OutOfOrderCpu(program, config).run(cycle_hook=timeline.observe)
+    index = timeline.dead_cells
+    back = CheckpointTimeline.from_payload(timeline.to_payload()).dead_cells
+    for answering in (index, back):
+        assert not any(answering.unread(reg, cycle)
+                       for reg in range(config.num_phys_int_regs)
+                       for cycle in range(index.first, index.last + 1))
+
+
+def test_schema_3_artifact_misses_and_is_rebuilt_with_read_windows(
+        tmp_path, monkeypatch):
+    """Timelines written before the RF read windows must never be served."""
+    spec = CampaignSpec(workload="sha", structure=TargetStructure.RF,
+                        config=small_config(), scale=1, faults=20)
+    monkeypatch.setattr(artifacts_module, "ARTIFACT_SCHEMA_VERSION", 3)
+    Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(spec)
+    monkeypatch.undo()
+
+    with obs.observe() as ctx:
+        golden = Session(checkpointing=True,
+                         artifact_cache=ArtifactCache(tmp_path)).golden(spec)
+    assert ctx.registry.value("repro_artifact_cache_misses_total", role="main") == 1
+    assert ctx.registry.total("repro_golden_builds_total") == 1
+    index = golden.checkpoints.dead_cells
+    assert any(index.unread(reg, cycle)
+               for reg in range(spec.config.num_phys_int_regs)
+               for cycle in range(index.first, index.last + 1))
