@@ -12,6 +12,7 @@ test suite through :mod:`repro.testing` rather than duplicated here.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -67,9 +68,21 @@ def context() -> ExperimentContext:
     return ExperimentContext(BENCH_SCALE)
 
 
-#: Golden-run length used by the checkpoint speedup benchmark: long enough
-#: that fast-forwarding matters, short enough for a 1k-fault campaign.
-CHECKPOINT_BENCH_ITERATIONS = 60
+#: Loop iterations of the reference kernel (loop[60]) that the simcore,
+#: checkpoint and fault-model gates time: long enough that fast-forwarding
+#: matters, short enough for a 1k-fault campaign.  The simcore baseline
+#: was recorded at this size.
+REFERENCE_ITERATIONS = 60
+
+
+def gate_relaxed() -> bool:
+    """True when the wall-clock gates are downgraded to warnings.
+
+    Shared CI runners are too noisy for a hard wall-clock floor: with
+    ``REPRO_BENCH_RELAXED`` set, the four gate benchmarks still measure
+    and write their ``BENCH_*.json`` but do not assert their floors.
+    """
+    return bool(os.environ.get("REPRO_BENCH_RELAXED"))
 
 
 def run_and_print(benchmark, run_callable, *args, **kwargs):

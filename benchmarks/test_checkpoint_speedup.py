@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import time
 
-from conftest import CHECKPOINT_BENCH_ITERATIONS
+from conftest import REFERENCE_ITERATIONS, gate_relaxed
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
-from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, shared_fault_list, small_config
 from repro.uarch.structures import TargetStructure
 
@@ -37,7 +36,7 @@ REQUIRED_SPEEDUP = 1.6
 def test_checkpoint_campaign_speedup(bench_json_dir):
     bench_json = bench_json_dir / BENCH_NAME
     config = small_config()
-    program = build_loop_program(CHECKPOINT_BENCH_ITERATIONS)
+    program = build_loop_program(REFERENCE_ITERATIONS)
 
     # The fault list is shared input for both legs, built outside either
     # timed region so neither engine is charged for it.
@@ -55,7 +54,7 @@ def test_checkpoint_campaign_speedup(bench_json_dir):
     # --- checkpoint engine leg -----------------------------------------
     started = time.perf_counter()
     golden_warm = capture_golden(
-        build_loop_program(CHECKPOINT_BENCH_ITERATIONS), config, trace=False
+        build_loop_program(REFERENCE_ITERATIONS), config, trace=False
     )
     warm = ComprehensiveCampaign(
         golden_warm, fault_list, use_checkpoints=True
@@ -70,14 +69,12 @@ def test_checkpoint_campaign_speedup(bench_json_dir):
     speedup = cold_seconds / warm_seconds
     payload = {
         "benchmark": "checkpoint_campaign_speedup",
-        "workload": f"loop[{CHECKPOINT_BENCH_ITERATIONS}]",
+        "workload": f"loop[{REFERENCE_ITERATIONS}]",
         "structure": TargetStructure.RF.short_name,
         "faults": FAULTS,
         "golden_cycles": golden_cold.cycles,
-        "checkpoints": len(golden_warm.checkpoints or ()),
-        "checkpoint_interval": (
-            golden_warm.checkpoints.interval if golden_warm.checkpoints else None
-        ),
+        "checkpoints": len(golden_warm.checkpoints),
+        "checkpoint_interval": golden_warm.checkpoints.interval,
         "cold_seconds": round(cold_seconds, 3),
         "checkpoint_seconds": round(warm_seconds, 3),
         "speedup": round(speedup, 3),

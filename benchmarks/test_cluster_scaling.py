@@ -24,10 +24,10 @@ import json
 import os
 import time
 
+from conftest import gate_relaxed
 from repro import obs
 from repro.api import CampaignSpec
 from repro.cluster import ClusterEngine
-from repro.perf import gate_relaxed
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 
+from conftest import REFERENCE_ITERATIONS, gate_relaxed
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
 from repro.faults.models import (
@@ -30,14 +31,12 @@ from repro.faults.models import (
     StuckAt1,
 )
 from repro.faults.sampling import generate_fault_list
-from repro.perf import gate_relaxed
 from repro.testing import build_loop_program, small_config
 from repro.uarch.structures import TargetStructure, structure_geometry
 
 BENCH_NAME = "BENCH_faultmodels.json"
 
 FAULTS = 400
-ITERATIONS = 60
 
 #: Floor on (model throughput / single-bit throughput); windowed models pay
 #: for re-application, but nothing in the model layer may collapse the rate.
@@ -56,7 +55,8 @@ MODELS = [
 def test_faultmodel_injection_throughput(bench_json_dir):
     bench_json = bench_json_dir / BENCH_NAME
     config = small_config()
-    golden = capture_golden(build_loop_program(ITERATIONS), config, trace=False)
+    golden = capture_golden(build_loop_program(REFERENCE_ITERATIONS), config,
+                            trace=False)
     geometry = structure_geometry(TargetStructure.RF, config)
 
     rows = []
@@ -80,7 +80,7 @@ def test_faultmodel_injection_throughput(bench_json_dir):
         row["relative_throughput"] = round(row["faults_per_second"] / baseline, 3)
 
     payload = {
-        "workload": f"loop[{ITERATIONS}]",
+        "workload": f"loop[{REFERENCE_ITERATIONS}]",
         "structure": "RF",
         "faults_per_model": FAULTS,
         "golden_cycles": golden.cycles,

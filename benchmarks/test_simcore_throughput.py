@@ -1,11 +1,18 @@
 """Simulator-core throughput: the hot-loop overhaul's regression gate.
 
 Measures raw interpreter cycles/sec, serial-engine and checkpoint-engine
-faults/sec and the delta-timeline payload size via :mod:`repro.perf`,
-emits ``BENCH_simcore.json`` (baseline + current + speedups in one file;
-into ``.bench_work/``, or the repository root under
-``pytest --record-bench``), and enforces the >=2.5x serial-campaign floor over
-the recorded pre-optimization baseline.
+faults/sec and the delta-timeline payload size, emits
+``BENCH_simcore.json`` (baseline + current + speedups in one file; into
+``.bench_work/``, or the repository root under ``pytest --record-bench``),
+and enforces the >=2.5x serial-campaign floor over the recorded
+pre-optimization baseline.
+
+The workload is the shared reference loop kernel on the small structure
+configuration, so the numbers track the interpreter itself, not workload
+churn.  Every timed leg pays its own full cost (golden capture included),
+mirroring what a user-facing campaign actually costs.  Each leg runs
+``REPEATS`` times and the best rate is kept (standard practice for shared
+machines — contention only ever makes code look slower, never faster).
 
 Shared CI runners are too noisy for hard wall-clock gates; the workflow
 sets ``REPRO_BENCH_RELAXED=1`` there, while local runs keep enforcing
@@ -14,24 +21,282 @@ the floor.
 
 from __future__ import annotations
 
+import gc
+import json
+import pickle
+import time
+import tracemalloc
+from contextlib import contextmanager
+from typing import Dict, Tuple
 
-from repro.perf import (
-    REQUIRED_SERIAL_SPEEDUP,
-    check_gate,
-    gate_relaxed,
-    measure_simcore_gated,
-    write_bench_json,
-)
+from conftest import REFERENCE_ITERATIONS, gate_relaxed
+from repro.faults.campaign import ComprehensiveCampaign
+from repro.faults.golden import capture_golden
+from repro.testing import build_loop_program, shared_fault_list, small_config
+from repro.uarch.pipeline import OutOfOrderCpu
+from repro.uarch.structures import TargetStructure
 
 BENCH_NAME = "BENCH_simcore.json"
+
+#: Fault-list size of every timed campaign leg, the same as the baseline's.
+FAULTS = 300
+#: Timed runs per leg; the best rate is kept.
+REPEATS = 3
+#: Whole measurements taken at most when the gate falls short.
+ATTEMPTS = 3
+
+#: The serial-campaign regression gate: current faults/sec must be at
+#: least this multiple of the recorded baseline.
+REQUIRED_SERIAL_SPEEDUP = 2.5
+
+#: Pre-optimization throughput, measured at commit ec4d591 (the last
+#: commit before the hot-loop overhaul) on the reference container with
+#: the exact workload of :func:`measure_simcore` (loop[60], RF, 300
+#: faults, seed 42) — best of three runs, interleaved with the
+#: machine-calibration kernel below so the ratio can be normalized for
+#: machine-speed drift.
+RECORDED_BASELINE: Dict[str, float] = {
+    "commit": "ec4d591",
+    "workload": f"loop[{REFERENCE_ITERATIONS}]",
+    "faults": FAULTS,
+    "calibration_score": 9601099,
+    "cycles_per_sec": 22681,
+    "serial_faults_per_sec": 39.95,
+    "checkpoint_faults_per_sec": 116.45,
+    "timeline_payload_bytes": 4198303,
+}
+
+
+@contextmanager
+def _quiesced_gc():
+    """Collect, then disable the cyclic GC for the duration of a timed leg.
+
+    The baseline was recorded in a fresh process; when the benchmark runs
+    late in a long pytest session the accumulated object graph makes GC
+    passes land inside the timed region, skewing only the current side of
+    the ratio.  Simulator code creates no reference cycles on the hot
+    path, so pausing collection changes timing, not behaviour.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _peak_memory_bytes(scenario) -> int:
+    """Peak traced allocation (bytes) of one scenario run.
+
+    Runs in its own pass, never inside a timed leg: tracemalloc hooks
+    every allocation and slows the interpreter severalfold, so sharing a
+    leg with the throughput measurement would wreck the gate ratio.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scenario()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _calibration_score() -> float:
+    """Machine-speed reference: a fixed pure-Python LCG kernel.
+
+    Shared containers drift in available CPU over hours; the interpreter
+    throughput of this kernel drifts with them, so dividing the
+    simulator rates by it cancels machine load to first order.  The
+    regression gate compares *normalized* ratios for exactly that
+    reason.
+    """
+    started = time.perf_counter()
+    acc = 0
+    for i in range(2_000_000):
+        acc = (acc * 1103515245 + i) & 0xFFFFFFFF
+    return 2_000_000 / (time.perf_counter() - started)
+
+
+def _campaign_leg(config, fault_list, use_checkpoints: bool):
+    """One campaign, golden capture included: (faults/sec, golden, result)."""
+    started = time.perf_counter()
+    golden = capture_golden(build_loop_program(REFERENCE_ITERATIONS), config,
+                            trace=False)
+    result = ComprehensiveCampaign(golden, fault_list,
+                                   use_checkpoints=use_checkpoints).run()
+    return FAULTS / (time.perf_counter() - started), golden, result
+
+
+def measure_simcore() -> Dict:
+    """Run the measurement matrix and return the ``BENCH_simcore`` payload."""
+    config = small_config()
+    program = build_loop_program(REFERENCE_ITERATIONS)
+
+    with _quiesced_gc():
+        calibrations = [_calibration_score()]
+
+        # --- raw interpreter speed (golden run, no tracing) ------------
+        cycle_rates = []
+        for _ in range(REPEATS):
+            cpu = OutOfOrderCpu(program, config)
+            started = time.perf_counter()
+            result = cpu.run()
+            cycle_rates.append(result.cycles / (time.perf_counter() - started))
+        golden_cycles = result.cycles
+
+    fault_list = shared_fault_list(
+        capture_golden(program, config, trace=False),
+        TargetStructure.RF, sample_size=FAULTS, seed=42,
+    )
+
+    # --- serial engine (cold-start campaign) ---------------------------
+    serial_rates = []
+    with _quiesced_gc():
+        for _ in range(REPEATS):
+            rate, _, serial_result = _campaign_leg(config, fault_list, False)
+            serial_rates.append(rate)
+            calibrations.append(_calibration_score())
+
+    # --- checkpoint engine (fast-forward campaign) ---------------------
+    checkpoint_rates = []
+    with _quiesced_gc():
+        for _ in range(REPEATS):
+            rate, golden, checkpoint_result = _campaign_leg(
+                config, fault_list, True)
+            checkpoint_rates.append(rate)
+    # The speedup must not change a single classification.
+    if checkpoint_result.outcomes != serial_result.outcomes:
+        raise AssertionError("checkpoint engine diverged from the serial engine")
+
+    timeline = golden.checkpoints
+    payload_bytes = len(pickle.dumps(timeline.to_payload(),
+                                     protocol=pickle.HIGHEST_PROTOCOL))
+    checkpoints = len(timeline)
+    calibrations.append(_calibration_score())
+
+    # --- peak memory per scenario (separate, untimed passes) -----------
+    peak_memory = {
+        "golden_run": _peak_memory_bytes(
+            lambda: OutOfOrderCpu(program, config).run()),
+        "serial_campaign": _peak_memory_bytes(
+            lambda: _campaign_leg(config, fault_list, False)),
+        "checkpoint_campaign": _peak_memory_bytes(
+            lambda: _campaign_leg(config, fault_list, True)),
+    }
+
+    current = {
+        "workload": f"loop[{REFERENCE_ITERATIONS}]",
+        "structure": "RF",
+        "faults": FAULTS,
+        "golden_cycles": golden_cycles,
+        "calibration_score": round(max(calibrations)),
+        "cycles_per_sec": round(max(cycle_rates)),
+        "serial_faults_per_sec": round(max(serial_rates), 2),
+        "checkpoint_faults_per_sec": round(max(checkpoint_rates), 2),
+        "checkpoints": checkpoints,
+        "timeline_payload_bytes": payload_bytes,
+        "timeline_bytes_per_checkpoint": round(payload_bytes / checkpoints),
+        "peak_mem_bytes": peak_memory,
+    }
+    baseline = dict(RECORDED_BASELINE)
+    # Machine-drift correction: both sides' rates are divided by their
+    # interleaved calibration score before taking the ratio.
+    drift = baseline["calibration_score"] / current["calibration_score"]
+    speedup = {
+        "machine_drift": round(drift, 2),
+        "cycles_per_sec": round(
+            current["cycles_per_sec"] / baseline["cycles_per_sec"], 2),
+        "serial_faults_per_sec": round(
+            current["serial_faults_per_sec"] / baseline["serial_faults_per_sec"], 2),
+        "serial_faults_per_sec_normalized": round(
+            current["serial_faults_per_sec"] / baseline["serial_faults_per_sec"]
+            * drift, 2),
+        "checkpoint_faults_per_sec": round(
+            current["checkpoint_faults_per_sec"]
+            / baseline["checkpoint_faults_per_sec"], 2),
+        "timeline_payload_shrink": round(
+            baseline["timeline_payload_bytes"] / payload_bytes, 1),
+    }
+    return {
+        "benchmark": "simcore_throughput",
+        "required_serial_speedup": REQUIRED_SERIAL_SPEEDUP,
+        "baseline": baseline,
+        "current": current,
+        "speedup": speedup,
+    }
+
+
+def check_gate(payload: Dict) -> Tuple[bool, str]:
+    """Evaluate the serial-campaign regression gate on a payload.
+
+    The gate compares the *calibration-normalized* ratio (the raw ratio
+    corrected by the machine-drift factor), so a shared container that
+    has merely slowed down since the baseline recording does not read as
+    a code regression — and a sped-up one cannot mask a real regression.
+    """
+    achieved = payload["speedup"]["serial_faults_per_sec_normalized"]
+    message = (
+        f"serial campaign {payload['current']['serial_faults_per_sec']} faults/sec "
+        f"= {achieved}x baseline normalized "
+        f"(raw {payload['speedup']['serial_faults_per_sec']}x, machine drift "
+        f"{payload['speedup']['machine_drift']}x); floor {REQUIRED_SERIAL_SPEEDUP}x"
+    )
+    return achieved >= REQUIRED_SERIAL_SPEEDUP, message
+
+
+
+def _gate_payload(raw: float, drift: float) -> Dict:
+    """A minimal payload for :func:`check_gate` at a given raw ratio."""
+    rate = round(RECORDED_BASELINE["serial_faults_per_sec"] * raw, 2)
+    return {
+        "current": {"serial_faults_per_sec": rate},
+        "speedup": {
+            "machine_drift": drift,
+            "serial_faults_per_sec": raw,
+            "serial_faults_per_sec_normalized": round(raw * drift, 2),
+        },
+    }
+
+
+def test_check_gate_judges_the_normalized_ratio():
+    assert check_gate(_gate_payload(REQUIRED_SERIAL_SPEEDUP, 1.0))[0]
+    # A slowed machine (drift > 1) lifts a raw shortfall over the floor ...
+    assert check_gate(_gate_payload(2.0, 1.3))[0]
+    # ... and a sped-up one cannot hide a regression behind a raw pass.
+    ok, message = check_gate(_gate_payload(3.0, 0.8))
+    assert not ok
+    assert f"floor {REQUIRED_SERIAL_SPEEDUP}x" in message
+    assert "= 2.4x baseline normalized" in message
+
+
+def test_gate_relaxed_follows_the_environment(monkeypatch):
+    monkeypatch.delenv("REPRO_BENCH_RELAXED", raising=False)
+    assert not gate_relaxed()
+    monkeypatch.setenv("REPRO_BENCH_RELAXED", "")
+    assert not gate_relaxed()
+    monkeypatch.setenv("REPRO_BENCH_RELAXED", "1")
+    assert gate_relaxed()
 
 
 def test_simcore_throughput_gate(bench_json_dir):
     bench_json = bench_json_dir / BENCH_NAME
-    # measure_simcore_gated re-measures on a gate shortfall (wall-clock
-    # noise on shared single-CPU machines) keeping the best payload.
-    payload = measure_simcore_gated()
-    write_bench_json(payload, bench_json)
+    # Contention only ever makes code look slower, so on a gate shortfall
+    # the matrix is re-run (up to ATTEMPTS in all).  The best payload by
+    # the gate's own (normalized) metric is kept: a loaded-machine retry
+    # can pass normalized while looking slower raw.  With the gate
+    # relaxed a single measurement is reported as-is.
+    payload = measure_simcore()
+    for _ in range(ATTEMPTS - 1):
+        if check_gate(payload)[0] or gate_relaxed():
+            break
+        retry = measure_simcore()
+        if (retry["speedup"]["serial_faults_per_sec_normalized"]
+                > payload["speedup"]["serial_faults_per_sec_normalized"]):
+            payload = retry
+    bench_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     current = payload["current"]
     speedup = payload["speedup"]

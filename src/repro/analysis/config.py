@@ -6,8 +6,8 @@ The analyzer enforces three contract families with different blast radii:
   ``snapshot()``/``restore()`` pair, wherever it lives;
 * the **determinism contract** applies only to modules on the simulator /
   identity path — code whose behaviour feeds run ids, golden results,
-  shard ids or journaled outcomes.  The measurement layer (``repro.perf``
-  and friends) legitimately reads clocks and is allowlisted;
+  shard ids or journaled outcomes.  Every module outside those prefixes
+  (observability, the CLI, the store) may read clocks;
 * the **process-safety contract** applies to the modules that build
   worker entry points, shard payloads and crash-safe journals.
 
@@ -18,7 +18,7 @@ opt in by prefix instead of by editing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 #: Method-name pairs recognised as the snapshot/restore contract surface.
@@ -61,12 +61,6 @@ class LintConfig:
         "repro.cluster.journal",
         "repro.cluster.merge",
     )
-    #: Measurement-layer carve-out: these modules may read clocks and the
-    #: environment even when nested under a determinism-scope prefix.
-    #: Only ``repro.perf`` (benchmarking) and ``repro.obs`` (observability)
-    #: belong here — both are measurement by construction, and a policy
-    #: test pins the list so no identity-path module can sneak in.
-    determinism_allow: Tuple[str, ...] = ("repro.perf", "repro.obs")
 
     #: Modules that spawn workers or are imported by worker processes.
     process_scope: Tuple[str, ...] = ("repro.cluster", "repro.api")
@@ -102,8 +96,6 @@ class LintConfig:
 
     # ------------------------------------------------------------------
     def in_determinism_scope(self, module: str) -> bool:
-        if _module_matches(module, self.determinism_allow):
-            return False
         return _module_matches(module, self.determinism_scope)
 
     def in_process_scope(self, module: str) -> bool:
@@ -127,7 +119,6 @@ def fixture_config() -> LintConfig:
     """A config whose every scope matches every module (rule fixtures)."""
     return LintConfig(
         determinism_scope=("",),
-        determinism_allow=(),
         process_scope=("",),
         payload_modules=("",),
         journal_modules=("",),

@@ -17,8 +17,8 @@ cannot tolerate, because grouping relies on bit-identical re-execution.
 * ``det-set-iter``  — iterating (or materialising) a set-typed value
   without ``sorted()``; hash order is not part of any contract.
 
-All six apply only inside :meth:`LintConfig.in_determinism_scope`; the
-measurement layer (``repro.perf``) is allowlisted wholesale, and single
+All six apply only inside :meth:`LintConfig.in_determinism_scope`;
+modules outside the identity-path prefixes are not checked, and single
 justified sites use ``# repro-lint: disable=det-... -- why``.
 """
 
@@ -86,8 +86,8 @@ class WallClockRule(_ScopedRule):
                 yield finding(
                     context, self.rule_id, call,
                     f"call to {origin} on the identity path",
-                    hint="thread timestamps in from the measurement layer, "
-                         "or move this to repro.perf",
+                    hint="thread timestamps in from a caller outside the "
+                         "identity path (e.g. repro.obs)",
                 )
 
 

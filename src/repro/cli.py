@@ -384,42 +384,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Measure simulator-core throughput and enforce the regression gate."""
-    from repro.perf import (
-        check_gate,
-        gate_relaxed,
-        measure_simcore_gated,
-        write_bench_json,
-    )
-
-    payload = measure_simcore_gated(quick=args.quick)
-    path = write_bench_json(payload, Path(args.output))
-    if args.json:
-        _emit_json(payload)
-    else:
-        current = payload["current"]
-        speedup = payload["speedup"]
-        print(f"simulator core ({current['workload']}, {current['faults']} faults):")
-        print(f"  cycles/sec            {current['cycles_per_sec']:>10}  "
-              f"({speedup['cycles_per_sec']}x baseline)")
-        print(f"  serial faults/sec     {current['serial_faults_per_sec']:>10}  "
-              f"({speedup['serial_faults_per_sec']}x baseline)")
-        print(f"  checkpoint faults/sec {current['checkpoint_faults_per_sec']:>10}  "
-              f"({speedup['checkpoint_faults_per_sec']}x baseline)")
-        print(f"  timeline payload      {current['timeline_payload_bytes']:>10}B "
-              f"({speedup['timeline_payload_shrink']}x smaller)")
-        print(f"wrote {path}", file=sys.stderr)
-    ok, message = check_gate(payload)
-    if ok:
-        return 0
-    if gate_relaxed():
-        print(f"repro bench: below floor but relaxed: {message}", file=sys.stderr)
-        return 0
-    print(f"repro bench: regression gate failed: {message}", file=sys.stderr)
-    return 1
-
-
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Restart a killed cluster campaign from its journal."""
     from repro.cluster import RunJournal
@@ -617,18 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "per-workload/per-structure summary")
     report_parser.add_argument("--json", action="store_true")
     report_parser.set_defaults(func=_cmd_report)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="measure simulator-core throughput (BENCH_simcore.json)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smoke-sized run (CI): fewer faults, one repeat")
-    bench_parser.add_argument("--output", default="BENCH_simcore.json",
-                              metavar="FILE",
-                              help="where to write the JSON payload "
-                                   "(default ./BENCH_simcore.json)")
-    bench_parser.add_argument("--json", action="store_true",
-                              help="print the payload instead of the summary")
-    bench_parser.set_defaults(func=_cmd_bench)
 
     resume_parser = subparsers.add_parser(
         "resume", help="restart a killed cluster campaign from its journal")

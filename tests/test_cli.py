@@ -91,6 +91,14 @@ def test_parser_requires_command():
         cli.main([])
 
 
+def test_parser_rejects_the_removed_bench_subcommand(capsys):
+    # The simcore measurement lives in benchmarks/test_simcore_throughput.py.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["--engine", "serial", "--resume"],
     # A worker count the engine would ignore, or would read as "every core".
@@ -279,63 +287,3 @@ def test_report_missing_run_id_still_exits_one(tmp_path, capsys):
     assert code == 1
     assert "no stored outcome" in capsys.readouterr().err
 
-
-def _fake_bench_payload(serial_speedup):
-    baseline = {
-        "cycles_per_sec": 20_000, "serial_faults_per_sec": 40.0,
-        "checkpoint_faults_per_sec": 100.0, "timeline_payload_bytes": 4_000_000,
-    }
-    current = {
-        "workload": "loop[60]", "structure": "RF", "faults": 300,
-        "golden_cycles": 550, "cycles_per_sec": 50_000,
-        "serial_faults_per_sec": round(40.0 * serial_speedup, 2),
-        "checkpoint_faults_per_sec": 220.0, "checkpoints": 32,
-        "timeline_payload_bytes": 250_000, "timeline_bytes_per_checkpoint": 7_800,
-    }
-    return {
-        "benchmark": "simcore_throughput", "quick": True,
-        "required_serial_speedup": 2.5, "baseline": baseline,
-        "current": current,
-        "speedup": {
-            "machine_drift": 1.0,
-            "cycles_per_sec": 2.5,
-            "serial_faults_per_sec": serial_speedup,
-            "serial_faults_per_sec_normalized": serial_speedup,
-            "checkpoint_faults_per_sec": 2.2,
-            "timeline_payload_shrink": 16.0,
-        },
-    }
-
-
-def test_bench_writes_json_and_passes_gate(tmp_path, capsys, monkeypatch):
-    import json
-
-    import repro.perf as perf
-
-    monkeypatch.setattr(perf, "measure_simcore_gated",
-                        lambda quick: _fake_bench_payload(3.0))
-    output = tmp_path / "BENCH_simcore.json"
-    code = cli.main(["bench", "--quick", "--output", str(output)])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "serial faults/sec" in captured.out
-    assert "3.0x baseline" in captured.out
-    payload = json.loads(output.read_text())
-    assert payload["speedup"]["serial_faults_per_sec"] == 3.0
-
-
-def test_bench_gate_failure_exits_one_unless_relaxed(tmp_path, capsys, monkeypatch):
-    import repro.perf as perf
-
-    monkeypatch.setattr(perf, "measure_simcore_gated",
-                        lambda quick: _fake_bench_payload(1.2))
-    output = tmp_path / "BENCH_simcore.json"
-    monkeypatch.delenv("REPRO_BENCH_RELAXED", raising=False)
-    code = cli.main(["bench", "--quick", "--output", str(output)])
-    assert code == 1
-    assert "regression gate failed" in capsys.readouterr().err
-
-    monkeypatch.setenv("REPRO_BENCH_RELAXED", "1")
-    code = cli.main(["bench", "--quick", "--output", str(output)])
-    assert code == 0
-    assert "below floor but relaxed" in capsys.readouterr().err

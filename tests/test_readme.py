@@ -1,5 +1,6 @@
-"""The README's stated gate floors, engine names, checkpoint spacing and
-performance table match the code and the recorded ``BENCH_simcore.json``.
+"""The README's stated gate floors, engine names, checkpoint spacing,
+CLI subcommands and performance table match the code and the recorded
+``BENCH_simcore.json``.
 
 The floors of the ``benchmarks/`` gates are read from their modules with
 :mod:`ast` rather than imported (they are pytest files, not library
@@ -12,10 +13,18 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.api.engine import ENGINES
-from repro.perf import REQUIRED_SERIAL_SPEEDUP
+from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: A ``repro <subcommand>`` invocation in a shell block: at the start of a
+#: line (after a prompt or environment assignments) or after ``-m``.
+COMMAND = re.compile(
+    r"(?:^[ \t]*(?:\$[ \t]*)?(?:\w+=\S*[ \t]+)*|-m[ \t]+)"
+    r"repro[ \t]+([a-z][\w-]*)", re.MULTILINE)
 
 
 def readme() -> str:
@@ -48,8 +57,9 @@ def stated(pattern: str) -> tuple:
 
 
 def test_serial_speedup_floor():
+    gate = constants("benchmarks/test_simcore_throughput.py")
     (floor,) = stated(r"serial-campaign rate must stay ≥ ([\d.]+)x")
-    assert float(floor) == REQUIRED_SERIAL_SPEEDUP
+    assert float(floor) == gate["REQUIRED_SERIAL_SPEEDUP"]
 
 
 def test_checkpoint_speedup_floor():
@@ -74,6 +84,20 @@ def test_engine_names():
     listed = names.split("|")
     assert len(listed) == len(set(listed))
     assert set(listed) == set(ENGINES)
+
+
+def test_readme_commands_are_cli_subcommands(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                        re.MULTILINE | re.DOTALL)
+    used = set(COMMAND.findall("\n".join(blocks)))
+    assert {"run", "sweep", "lint"} <= used
+    parser = build_parser()
+    for name in sorted(used):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args([name, "--help"])
+        assert exited.value.code == 0, (
+            f"the README runs `repro {name}`, which the CLI rejects")
 
 
 def test_checkpoint_spacing():
