@@ -47,8 +47,9 @@ from repro.version import __version__
 #: Version folded into every artifact (and its key), so incompatible layout
 #: changes can never resurrect stale artifacts.  3: timelines start at
 #: cycle 0 and snapshots carry no structure-read logs.  4: the dead-cell
-#: index carries the RF read windows.
-ARTIFACT_SCHEMA_VERSION = 4
+#: index carries the RF read windows.  5: the index holds one toggle list
+#: per structure (RF read windows, SQ/L1D deadness) and no RF deadness.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3

@@ -66,12 +66,13 @@ def inject_fault(
     end is legal: late applications simply never fire.
 
     ``fast_forward`` enables the checkpoint engine.  A one-cycle fault
-    that lands only in dead cells (free registers, invalid SQ slots or L1D
-    lines), or only in RF registers whose next physical access in the
-    golden run is a write or that are never accessed again, is answered
-    from the golden timeline's
+    whose every flipped cell is masked, by one rule per structure, is
+    answered from the golden timeline's
     :class:`~repro.uarch.checkpoint.DeadCellIndex` with the golden result:
-    no CPU is touched, nothing is restored or stepped.  Any other run
+    no CPU is touched, nothing is restored or stepped.  RF: read windows,
+    a register whose next physical access in the golden run is a write,
+    or that is never accessed again.  SQ/L1D: deadness, an invalid slot
+    or line.  Any other run
     restores the nearest golden checkpoint at-or-before the injection
     cycle instead of cold-simulating from cycle 0, and ends early with the
     golden result once the faulty state reconverges exactly onto a later
@@ -100,9 +101,10 @@ def inject_fault(
     Under :mod:`repro.obs` each call records the cycles it actually
     stepped and why the run ended: the termination kind, ``reconverged``
     (the run stopped before the cycle count of the result it returns),
-    ``dead_flip`` (answered from the index: every flipped cell dead) or
-    ``unread_flip`` (answered from the index: no flipped register read
-    before it is overwritten or the run ends).  An exception other than a
+    ``unread_flip`` (an RF fault answered from the index: no flipped
+    register read before it is overwritten or the run ends) or
+    ``dead_flip`` (an SQ or L1D fault answered from the index: every
+    flipped cell dead).  An exception other than a
     modelled one is also counted in ``repro_internal_errors_total{type}``:
     it is a simulator bug, not a modelled crash.
     """

@@ -103,7 +103,8 @@ class ObsContext:
         self._run_ends = registry.counter(
             "repro_run_end_total",
             "Injection runs by why they ended: the termination kind, "
-            "reconverged, dead_flip or unread_flip.",
+            "reconverged, unread_flip (RF read windows) or dead_flip "
+            "(SQ/L1D deadness).",
             labels=("reason",),
         )
         self._internal_errors = registry.counter(

@@ -182,17 +182,28 @@ def shared_fault_list(
     )
 
 
+def _replay(golden: GoldenRecord, hook) -> None:
+    """Replay ``golden``'s run untraced with ``hook`` as its cycle hook."""
+    replay = OutOfOrderCpu(golden.program, golden.config).run(cycle_hook=hook)
+    if replay != golden.result:
+        raise RuntimeError(
+            f"replay of {golden.program.name!r} diverged from its golden run")
+
+
 def dead_index_disagreements(program: Program,
                              config: Optional[MicroarchConfig] = None
                              ) -> Tuple[int, int]:
     """Check a golden timeline's dead-cell index against its oracle.
 
     Captures ``program``'s golden run with a checkpoint timeline, replays
-    it, and at every cycle boundary of the replay compares
-    :meth:`~repro.uarch.checkpoint.DeadCellIndex.dead` with
+    it, and at every cycle boundary of the replay checks
+    :meth:`~repro.uarch.checkpoint.DeadCellIndex.masked` against
     :func:`~repro.uarch.checkpoint._flip_sites_dead` for every RF
     register, SQ slot and L1D line (a line through one of its words, which
-    rotates with the cycle).  Returns ``(pairs checked, disagreements)``.
+    rotates with the cycle).  The SQ and L1D, whose rule is deadness,
+    must agree exactly; the RF, whose rule is read windows, must answer
+    every dead (free) register.  Returns ``(pairs checked,
+    disagreements)``.
     """
     config = config if config is not None else MicroarchConfig()
     golden = capture_golden(program, config, trace=False,
@@ -211,16 +222,16 @@ def dead_index_disagreements(program: Program,
         for structure, faults in probes.items():
             if structure is TargetStructure.L1D:
                 faults = faults[cycle % WORDS_PER_LINE::WORDS_PER_LINE]
+            exact = structure is not TargetStructure.RF
             for fault in faults:
                 counts[0] += 1
-                if (_flip_sites_dead(cpu, fault)
-                        != index.dead(structure, fault.entry, cycle)):
+                dead = _flip_sites_dead(cpu, fault)
+                if ((dead or exact)
+                        and dead != index.masked(structure, fault.entry, cycle)):
                     counts[1] += 1
         return None
 
-    replay = OutOfOrderCpu(program, config).run(cycle_hook=compare)
-    if replay != golden.result:
-        raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
+    _replay(golden, compare)
     return counts[0], counts[1]
 
 
@@ -230,26 +241,33 @@ def unread_index_disagreements(program: Program,
                                seed: int = 0) -> Tuple[int, int]:
     """Check a golden timeline's RF read windows by injection.
 
-    Captures ``program``'s golden run with a checkpoint timeline and
-    collects every (register, cycle) pair the dead-cell index answers as
-    unread but not dead: the ``unread_flip`` faults, which only the read
-    windows settle.  ``sample`` of them (all when None) are drawn with
-    ``seed``, each gets a bit drawn with the same generator, and each is
-    injected on the reference path: a fresh CPU from cycle 0, no
-    fast-forward.  A result that differs from the golden result in any
-    field is a disagreement.  Returns ``(faults injected,
-    disagreements)``.
+    Captures ``program``'s golden run with a checkpoint timeline, replays
+    it, and at every cycle boundary collects the registers the dead-cell
+    index answers as masked that are not on the free list: the
+    ``unread_flip`` faults that only the read windows settle (the free
+    ones :func:`dead_index_disagreements` covers).  ``sample`` of these
+    (register, cycle) pairs (all when None) are drawn with ``seed``, each
+    gets a bit drawn with the same generator, and each is injected on the
+    reference path: a fresh CPU from cycle 0, no fast-forward.  A result
+    that differs from the golden result in any field is a disagreement.
+    Returns ``(faults injected, disagreements)``.
     """
     config = config if config is not None else MicroarchConfig()
     golden = capture_golden(program, config, trace=False,
                             checkpoint_interval=DEFAULT_INTERVAL)
     index = golden.checkpoints.dead_cells
     geometry = structure_geometry(TargetStructure.RF, config)
-    pairs = [(reg, cycle)
-             for cycle in range(golden.cycles)
-             for reg in range(geometry.num_entries)
-             if index.unread(reg, cycle)
-             and not index.dead(TargetStructure.RF, reg, cycle)]
+    pairs = []
+
+    def collect(cpu: OutOfOrderCpu) -> None:
+        cycle = cpu.cycle
+        free = set(cpu.free_list.snapshot())
+        pairs.extend((reg, cycle) for reg in range(geometry.num_entries)
+                     if reg not in free
+                     and index.masked(TargetStructure.RF, reg, cycle))
+        return None
+
+    _replay(golden, collect)
     rng = random.Random(seed)
     if sample is not None and sample < len(pairs):
         pairs = rng.sample(pairs, sample)
@@ -288,9 +306,7 @@ def timeline_disagreements(program: Program,
             counts[1] += capture_state(cpu) != state
         return None
 
-    replay = OutOfOrderCpu(program, config).run(cycle_hook=compare)
-    if replay != golden.result:
-        raise RuntimeError(f"replay of {program.name!r} diverged from its golden run")
+    _replay(golden, compare)
     lazy = capture_golden(program, config, trace=False).ensure_checkpoints()
     counts[0] += 1
     counts[1] += lazy.to_payload() != timeline.to_payload()

@@ -62,14 +62,14 @@ speedups beyond the 2x bound of pure prefix skipping.
 
 Dead-cell index
 ---------------
-Many faults need no run at all.  The timeline also records, at every
-cycle boundary of the golden run, which RF registers, SQ slots and L1D
-lines are *dead* — free storage whose next access is a full overwrite
-(:class:`DeadCellIndex`) — and, for the RF, from which boundaries a
-register's next physical access is a read.  A one-cycle fault that lands
-only in dead cells, or only in RF registers that are not read before
-they are written again, is masked exactly, so the injector answers it
-from the index before any restore.
+Many faults need no run at all.  The timeline also records where a
+one-cycle flip is masked (:class:`DeadCellIndex`), by one rule per
+structure: an RF register is masked from the boundaries at which its
+next physical access is a write, or at which it is never accessed again
+(read windows); an SQ slot or L1D line is masked while it is *dead* —
+free storage whose next access is a full overwrite.  A one-cycle fault
+whose flip entries are all masked is masked exactly, so the injector
+answers it from the index before any restore.
 """
 
 from __future__ import annotations
@@ -727,96 +727,77 @@ def new_restore_pool(program, config):
 # Dead-cell index
 # ----------------------------------------------------------------------
 class DeadCellIndex:
-    """When each fault-target cell of one golden run is dead.
+    """Where a one-cycle flip into each fault-target cell of one golden
+    run is masked, so the golden run alone answers it.
 
-    A cell is *dead* at a cycle boundary when its next access must be a
-    full overwrite: an RF register on the free list, a store-queue slot
-    that is not ``valid``, or an L1D word whose line is not ``valid``
-    (:func:`_flip_sites_dead` is the same predicate on a live CPU, kept as
-    this index's test oracle).  :meth:`observe` runs at every cycle
-    boundary of the golden run, through :meth:`CheckpointTimeline.observe`,
-    so :meth:`all_dead` answers that predicate for any boundary of the run
-    without a CPU.
+    One rule per structure decides it:
 
-    A one-cycle fault whose flip entries are all dead at its cycle is
-    masked, exactly, which lets
-    :func:`~repro.faults.injector.inject_fault` answer it with the golden
-    result before any restore:
-
-    - at the boundary ``fault.cycle``, before the fault is applied, the
-      injection run equals the golden run, since no fault has fired yet;
-      so its cells are dead exactly where the golden run's are;
-    - rename calls ``mark_not_ready`` on every register it allocates, so
-      consumers wait for writeback, and writeback overwrites the whole
-      register;
-    - store-queue data is read only when ``data_ready`` is set, and
-      ``set_data`` overwrites the latch before setting it;
-    - an invalid L1D line is never looked up, evicted or flushed, and
-      ``_fill`` overwrites every byte of it;
-    - so every later read, and therefore the whole
-      :class:`SimulationResult`, equals the golden run's.
-
-    For the RF the index also keeps, per register, the boundaries from
-    which its next physical access in the golden run is a read
-    (:meth:`unread`).  A one-cycle flip into a register that is not read
-    before it is written again, or before the run ends, is masked too,
-    allocated or not:
-
-    - up to the fault cycle the injection run equals the golden run, as
-      above;
-    - every value read is logged: operand reads at issue and address
+    - **RF: read windows.**  A flip into a register that the golden run
+      does not read before it writes it again, or before the run ends, is
+      masked, allocated or not.  The index logs every physical register
+      access in the order it happens: operand reads at issue and address
       generation, by any uop, squashed and replayed ones included, since
       a wrong-path read can still steer the cache and the timing; the
-      pipeline reads register values nowhere else;
-    - writeback overwrites all 64 bits of the register, and within a
-      cycle it runs before issue, so a write and a read in the same cycle
-      order as they happen;
-    - a :class:`SimulationResult` carries no register values, so a flip
+      pipeline reads register values nowhere else.  Writeback overwrites
+      all 64 bits of a register, and within a cycle it runs before issue,
+      so a write and a read in the same cycle order as they happen.  A
+      :class:`SimulationResult` carries no register values, so a flip
       that is never read leaves every field of it as the golden run's.
+      A free register is the special case: it is written before it is
+      read.
+    - **SQ and L1D: deadness.**  A flip into a store-queue slot that is
+      not ``valid``, or into an L1D word whose line is not ``valid``, is
+      masked: store-queue data is read only when ``data_ready`` is set,
+      and ``set_data`` overwrites the latch before setting it; an invalid
+      L1D line is never looked up, evicted or flushed, and ``_fill``
+      overwrites every byte of it.  (:func:`_flip_sites_dead` is the same
+      predicate on a live CPU, kept as this index's test oracle.)
 
-    Like the reconvergence exit, this holds only for an injection run
-    that ends where the golden run did, as the injector checks: a golden
-    run that halted, or a SimPoint injection, which stops at the golden
-    run's instruction count.  The RF rule
-    subsumes deadness (a free register, if accessed again, is written
-    before it is read), but :meth:`masked_reason` still names a dead flip
-    ``dead_flip``; the SQ and L1D keep deadness only.
-
+    Either way, at the boundary ``fault.cycle``, before the fault is
+    applied, the injection run equals the golden run, since no fault has
+    fired yet; so every later read, and therefore the whole
+    :class:`SimulationResult`, equals the golden run's, and
+    :func:`~repro.faults.injector.inject_fault` answers the fault with
+    the golden result before any restore.  Like the reconvergence exit,
+    this holds only for an injection run that ends where the golden run
+    did, as the injector checks: a golden run that halted, or a SimPoint
+    injection, which stops at the golden run's instruction count.
     Windowed faults (intermittent, stuck-at) are never answered: a later
     application could land after the cell comes back to life.
 
     Storage is O(state changes), not O(cycles x cells): per unit
-    (register, slot, L1D line), the ascending boundaries at which it
-    turned dead or live, starting with the first observed boundary for
-    the units dead there; a unit is dead where an odd number of them
-    have passed, so a query is one ``bisect`` per flip entry.  Capture costs
-    O(changes) too: at its first boundary the index arms the free list,
-    store queue and L1D, which from then on log every unit they move into
-    or out of use (``begin_toggle_log``), and each later boundary drains
-    those logs.  The CPU's RF access log (``begin_rf_access_log``) is
-    armed and drained the same way, and :meth:`finish` drains the run's
-    last step, which no boundary follows.
+    (register, slot, L1D line), the ascending boundaries at which "a flip
+    here is masked" toggled, starting with the first observed boundary
+    for the units masked there; a flip is masked where an odd number of
+    them have passed, so a query is one ``bisect`` per flip entry.
+    Capture costs O(changes) too.  :meth:`observe` runs at every cycle
+    boundary of the golden run, through
+    :meth:`CheckpointTimeline.observe`; at its first boundary it arms the
+    store queue and the L1D, which from then on log every unit they move
+    into or out of use (``begin_toggle_log``), and the CPU's RF access
+    log (``begin_rf_access_log``); each later boundary drains those logs.
+    :meth:`finish` drains the run's last step, which no boundary follows,
+    and only then writes the RF's list, since a register's last window
+    closes at the run's end.
     """
 
     def __init__(self) -> None:
         #: First and last observed cycle boundaries (None: never observed).
         self.first: Optional[int] = None
         self.last: Optional[int] = None
-        #: Per structure, per unit: the boundaries its deadness flipped at.
+        #: Per structure, per unit: the boundaries its masking toggled at
+        #: (the RF only once :meth:`finish` has closed the run).
         self._toggles: Dict[TargetStructure, List[List[int]]] = {}
         #: (component log, per-unit toggles) pairs drained by observe.
         self._logs: Tuple[Tuple[List[int], List[List[int]]], ...] = ()
-        #: Per RF register: the boundaries at which "its next access is a
-        #: read" flipped; None until :meth:`finish` closes the run.
-        self._reads: Optional[List[List[int]]] = None
-        #: While capturing: the CPU's RF access log, the read windows so
+        #: While capturing: the CPU's RF access log, the RF toggles so
         #: far, and per register its last accessed cycle and whether the
         #: window ending there is read-first.
         self._rf_capture: Optional[Tuple[List[int], List[List[int]],
                                          List[int], List[bool]]] = None
 
     def observe(self, cpu: OutOfOrderCpu) -> None:
-        """Record the units whose deadness changed since the last boundary."""
+        """Record the units whose masking changed since the last boundary."""
         cycle = cpu.cycle
         if self.last is None:
             self._start(cpu)
@@ -842,137 +823,107 @@ class DeadCellIndex:
         instruction budget ends it after a full cycle), so its RF accesses
         are drained here; then every register still waiting for a read
         window to end gets its last one closed, since nothing reads it
-        before the run ends.  Until this is called, :meth:`unread` answers
-        nothing.
+        before the run ends.  Until this is called, :meth:`masked` answers
+        nothing for the RF.
         """
         if self._rf_capture is None:
             return
         self._drain_reads(self.last)
-        _, reads, seen, live = self._rf_capture
-        for reg, cycles in enumerate(reads):
+        _, toggles, seen, live = self._rf_capture
+        for reg, cycles in enumerate(toggles):
             if live[reg]:
                 cycles.append(seen[reg] + 1)
-        self._reads = reads
+        self._toggles[TargetStructure.RF] = toggles
         self._rf_capture = None
 
     def _drain_reads(self, cycle: int) -> None:
-        """Fold the RF accesses of ``cycle`` into the read windows.
+        """Fold the RF accesses of ``cycle`` into the RF toggles.
 
         A register's first access in a cycle decides every boundary since
         the cycle it was last accessed in: the flip at such a boundary is
         read if that access is a read, overwritten if it is a write.
         """
-        log, reads, seen, live = self._rf_capture
+        log, toggles, seen, live = self._rf_capture
         for code in log:
             read = code >= 0
             reg = code if read else ~code
             if seen[reg] != cycle:
                 if live[reg] != read:
-                    reads[reg].append(seen[reg] + 1)
+                    toggles[reg].append(seen[reg] + 1)
                     live[reg] = read
                 seen[reg] = cycle
         log.clear()
 
     def _start(self, cpu: OutOfOrderCpu) -> None:
         cycle = self.first = self.last = cpu.cycle
-        lines = [line for ways in cpu.dcache.lines for line in ways]
-        dead_now = {
-            TargetStructure.RF: (cpu.prf.num_regs, cpu.free_list.snapshot()),
-            TargetStructure.SQ: (
-                cpu.store_queue.num_entries,
-                [slot.index for slot in cpu.store_queue.slots if not slot.valid]),
+        dead_units = {
+            TargetStructure.SQ: (cpu.store_queue, cpu.store_queue.slots),
             TargetStructure.L1D: (
-                len(lines),
-                [unit for unit, line in enumerate(lines) if not line.valid]),
+                cpu.dcache, [line for ways in cpu.dcache.lines for line in ways]),
         }
-        for structure, (count, dead) in dead_now.items():
-            toggles: List[List[int]] = [[] for _ in range(count)]
-            for unit in dead:
-                toggles[unit].append(cycle)
+        logs = []
+        for structure, (component, units) in dead_units.items():
+            toggles = [[] if unit.valid else [cycle] for unit in units]
             self._toggles[structure] = toggles
-        self._logs = (
-            (cpu.free_list.begin_toggle_log(), self._toggles[TargetStructure.RF]),
-            (cpu.store_queue.begin_toggle_log(), self._toggles[TargetStructure.SQ]),
-            (cpu.dcache.begin_toggle_log(), self._toggles[TargetStructure.L1D]),
-        )
+            logs.append((component.begin_toggle_log(), toggles))
+        self._logs = tuple(logs)
+        # Every register starts masked: its first window is not yet read.
         num_regs = cpu.prf.num_regs
         self._rf_capture = (cpu.begin_rf_access_log(),
-                            [[] for _ in range(num_regs)],
+                            [[cycle] for _ in range(num_regs)],
                             [cycle - 1] * num_regs, [False] * num_regs)
 
     # ------------------------------------------------------------------
-    def dead(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
-        """Whether fault-target ``entry`` is dead at boundary ``cycle``.
+    def masked(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
+        """Whether a one-cycle flip into fault-target ``entry`` at boundary
+        ``cycle`` is masked.
 
-        False outside the observed boundaries: the index knows nothing
-        there.
+        False outside the observed boundaries, where the index knows
+        nothing, and for the RF before :meth:`finish`.
         """
-        if self.first is None or not self.first <= cycle <= self.last:
+        units = self._toggles.get(structure)
+        if units is None or not self.first <= cycle <= self.last:
             return False
         unit = entry // WORDS_PER_LINE if structure is TargetStructure.L1D else entry
-        return bool(bisect.bisect_right(self._toggles[structure][unit], cycle) & 1)
-
-    def all_dead(self, fault) -> bool:
-        """Whether every flip entry of ``fault`` is dead at its cycle."""
-        structure, cycle = fault.structure, fault.cycle
-        return all(self.dead(structure, entry, cycle)
-                   for entry in fault.flip_entries())
-
-    def unread(self, entry: int, cycle: int) -> bool:
-        """Whether RF register ``entry`` is not read before it is written
-        again, or before the run ends, from boundary ``cycle`` on.
-
-        False before :meth:`finish` and outside the observed boundaries.
-        """
-        reads = self._reads
-        if reads is None or not self.first <= cycle <= self.last:
-            return False
-        return not bisect.bisect_right(reads[entry], cycle) & 1
+        return bool(bisect.bisect_right(units[unit], cycle) & 1)
 
     def masked_reason(self, fault) -> Optional[str]:
         """Why the golden run alone shows ``fault`` masked, or None.
 
-        Only one-cycle faults qualify.  ``dead_flip`` when every flip
-        entry is dead; for an RF fault, ``unread_flip`` when no flipped
-        register is read before its next write or the run's end.
+        Only one-cycle faults qualify, and every flip entry must be
+        masked: ``unread_flip`` for the RF, whose rule is read windows,
+        ``dead_flip`` for the SQ and L1D, whose rule is deadness.
         """
-        if fault.last_active_cycle != fault.cycle:
+        structure, cycle = fault.structure, fault.cycle
+        if fault.last_active_cycle != cycle or not all(
+                self.masked(structure, entry, cycle)
+                for entry in fault.flip_entries()):
             return None
-        if self.all_dead(fault):
-            return "dead_flip"
-        cycle = fault.cycle
-        if (fault.structure is TargetStructure.RF
-                and all(self.unread(entry, cycle) for entry in fault.flip_entries())):
-            return "unread_flip"
-        return None
+        return "unread_flip" if structure is TargetStructure.RF else "dead_flip"
 
     # ------------------------------------------------------------------
     def to_payload(self) -> Tuple:
         """Pure data: the observed range, then per structure its unit
         count and the units' toggle cycles (units that never toggle are
-        omitted), then the RF read windows per register (None before
-        :meth:`finish`)."""
-        reads = self._reads
+        omitted)."""
         return (self.first, self.last, tuple(
             (structure.name,
              len(toggles),
              tuple((unit, tuple(cycles))
                    for unit, cycles in enumerate(toggles) if cycles))
             for structure, toggles in self._toggles.items()
-        ), None if reads is None else tuple(tuple(cycles) for cycles in reads))
+        ))
 
     @classmethod
     def from_payload(cls, payload: Tuple) -> "DeadCellIndex":
         """Inverse of :meth:`to_payload`; the result answers, never observes."""
         index = cls()
-        index.first, index.last, structures, reads = payload
+        index.first, index.last, structures = payload
         for name, count, toggled in structures:
             toggles: List[List[int]] = [[] for _ in range(count)]
             for unit, cycles in toggled:
                 toggles[unit] = list(cycles)
             index._toggles[TargetStructure[name]] = toggles
-        if reads is not None:
-            index._reads = [list(cycles) for cycles in reads]
         return index
 
 
@@ -1268,8 +1219,9 @@ def _flip_sites_dead(cpu: OutOfOrderCpu, fault) -> bool:
     overwrite: an RF register on the free list, a store-queue slot that
     is not ``valid``, or an L1D word whose line is not ``valid``.  Every
     distinct entry of the flip set must be dead.  The test oracle of
-    :class:`DeadCellIndex`, which answers the same question from the
-    golden run without a CPU.
+    :class:`DeadCellIndex`, which answers from the golden run without a
+    CPU: for the SQ and L1D the same question, for the RF one that every
+    dead register passes (a free register is written before it is read).
     """
     structure = fault.structure
     for entry in fault.flip_entries():
@@ -1304,9 +1256,11 @@ def make_reconvergence_hook(
     that cannot have reconverged pay only O(1) pre-checks per checkpoint
     (scalar divergence counters, then the faulted cells themselves).
 
-    Faults that land only in dead cells, or only in unread RF registers,
-    never get here: :func:`~repro.faults.injector.inject_fault` answers
-    them from the timeline's :class:`DeadCellIndex` before any restore.
+    One-cycle faults that land only in RF registers the golden run
+    writes, or never accesses, before it reads them, or only in dead SQ
+    slots or L1D lines, never get here:
+    :func:`~repro.faults.injector.inject_fault` answers them from the
+    timeline's :class:`DeadCellIndex` before any restore.
     """
     last_active = fault.last_active_cycle
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.isa.errors import SimulatorAssertError
 from repro.isa.registers import NUM_ARCH_REGS, WORD_MASK
@@ -99,9 +99,6 @@ class FreeList:
     def __init__(self, num_regs: int, reserved: int = NUM_ARCH_REGS):
         self._free: Deque[int] = deque(range(reserved, num_regs))
         self.num_regs = num_regs
-        # Registers that entered or left the list, in order, while a
-        # dead-cell index records the run (None otherwise).
-        self._toggled: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
     def __len__(self) -> int:
         return len(self._free)
@@ -112,34 +109,17 @@ class FreeList:
     def allocate(self) -> int:
         if not self._free:
             raise SimulatorAssertError("physical register free list underflow")
-        reg = self._free.popleft()
-        if self._toggled is not None:
-            self._toggled.append(reg)
-        return reg
+        return self._free.popleft()
 
     def release(self, index: int) -> None:
         self._free.append(index)
-        if self._toggled is not None:
-            self._toggled.append(index)
 
     def has_free(self, count: int = 1) -> bool:
         return len(self._free) >= count
 
     def rebuild(self, in_use: set) -> None:
         """Rebuild the free list after a squash from the set of live registers."""
-        free = deque(reg for reg in range(self.num_regs) if reg not in in_use)
-        if self._toggled is not None:
-            self._toggled.extend(sorted(set(self._free).symmetric_difference(free)))
-        self._free = free
-
-    def begin_toggle_log(self) -> List[int]:
-        """Log every register that enters or leaves the list from now on.
-
-        Returns the log; the caller drains it.  Each entry is one change of
-        that register's membership.
-        """
-        self._toggled = []
-        return self._toggled
+        self._free = deque(reg for reg in range(self.num_regs) if reg not in in_use)
 
     # ------------------------------------------------------------------
     # Checkpoint hooks

@@ -132,7 +132,7 @@ def test_multi_entry_flip_set_is_applied_and_prefiltered(golden, golden_warm):
 
 
 # ----------------------------------------------------------------------
-# The dead-on-arrival exit must never fire on a live or windowed fault
+# The index exit must never fire on a live or windowed fault
 # ----------------------------------------------------------------------
 def replay_until(golden, predicate):
     """A golden replay stopped at the first cycle boundary where
@@ -143,10 +143,27 @@ def replay_until(golden, predicate):
     return cpu
 
 
+def read_next(golden, cycle):
+    """RF registers whose next access after boundary ``cycle`` of the
+    golden run is a read."""
+    logs = []
+
+    def arm(cpu):
+        if cpu.cycle == cycle:
+            logs.append(cpu.begin_rf_access_log())
+        return None
+
+    OutOfOrderCpu(golden.program, golden.config).run(cycle_hook=arm)
+    first_access = {}
+    for code in logs[0]:
+        first_access.setdefault(code if code >= 0 else ~code, code >= 0)
+    read = sorted(reg for reg, is_read in first_access.items() if is_read)
+    assert read, f"nothing reads a register after cycle {cycle}"
+    return read
+
+
 def live_entries(cpu, structure):
-    """Fault-target entries whose storage is in use at this boundary."""
-    if structure is TargetStructure.RF:
-        return [reg for reg in range(cpu.prf.num_regs) if reg not in cpu.free_list]
+    """SQ slots or L1D lines (one word each) in use at this boundary."""
     if structure is TargetStructure.SQ:
         return [slot.index for slot in cpu.store_queue.slots if slot.valid]
     lines = [line for ways in cpu.dcache.lines for line in ways]
@@ -154,22 +171,31 @@ def live_entries(cpu, structure):
             if line.valid]
 
 
-def dead_flip_exits(golden_warm, fault) -> float:
-    """How often the fast-forwarded run of ``fault`` stopped at its cycle."""
+def index_exits(golden_warm, fault) -> float:
+    """How often the fast-forwarded run of ``fault`` was answered from the
+    golden run's index (``dead_flip`` or ``unread_flip``)."""
     with obs.observe() as ctx:
         inject_fault(golden_warm, fault, fast_forward=True)
-    return ctx.registry.value("repro_run_end_total", reason="dead_flip") or 0
+    registry = ctx.registry
+    return sum(registry.value("repro_run_end_total", reason=reason) or 0
+               for reason in ("dead_flip", "unread_flip"))
 
 
 @pytest.mark.parametrize("structure", list(TargetStructure), ids=lambda s: s.name)
 def test_live_entry_never_exits_at_fault_cycle(golden, golden_warm, structure):
-    """A mapped register, a valid SQ slot or a valid L1D line is live."""
-    cpu = replay_until(golden, lambda live: (
-        live.cycle >= golden.cycles // 3 and live_entries(live, structure)))
-    for entry in live_entries(cpu, structure)[:4]:
-        fault = FaultSpec(0, structure, entry=entry, bit=1, cycle=cpu.cycle)
+    """A register the golden run reads next, a valid SQ slot or a valid
+    L1D line is live."""
+    if structure is TargetStructure.RF:
+        cycle = golden.cycles // 3
+        entries = read_next(golden, cycle)
+    else:
+        cpu = replay_until(golden, lambda live: (
+            live.cycle >= golden.cycles // 3 and live_entries(live, structure)))
+        cycle, entries = cpu.cycle, live_entries(cpu, structure)
+    for entry in entries[:4]:
+        fault = FaultSpec(0, structure, entry=entry, bit=1, cycle=cycle)
         both_paths(golden, golden_warm, fault)
-        assert dead_flip_exits(golden_warm, fault) == 0, fault.describe()
+        assert index_exits(golden_warm, fault) == 0, fault.describe()
 
 
 @pytest.fixture(scope="module")
@@ -190,19 +216,18 @@ def test_windowed_fault_on_dead_entry_waits_for_window(
     """Only one-cycle faults take the exit, even on a free register."""
     cycle, reg = free_register
     transient = FaultSpec(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle)
-    assert dead_flip_exits(golden_warm, transient) == 1
+    assert index_exits(golden_warm, transient) == 1
     fault = model.make_fault(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle)
     both_paths(golden, golden_warm, fault)
     expected = 1 if fault.last_active_cycle == fault.cycle else 0
-    assert dead_flip_exits(golden_warm, fault) == expected, fault.describe()
+    assert index_exits(golden_warm, fault) == expected, fault.describe()
 
 
 def test_burst_with_one_live_entry_never_exits(golden, golden_warm, free_register):
-    """Every flip entry must be dead, not just the anchor."""
+    """Every flip entry must be masked, not just the anchor."""
     cycle, reg = free_register
-    cpu = replay_until(golden, lambda live: live.cycle == cycle)
-    live = live_entries(cpu, TargetStructure.RF)[0]
+    live = read_next(golden, cycle)[0]
     fault = FaultSpec(0, TargetStructure.RF, entry=reg, bit=5, cycle=cycle,
                       model="multi-bit", flips=((reg, 5), (live, 5)))
     both_paths(golden, golden_warm, fault)
-    assert dead_flip_exits(golden_warm, fault) == 0
+    assert index_exits(golden_warm, fault) == 0

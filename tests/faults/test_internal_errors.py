@@ -60,14 +60,14 @@ def test_modelled_crash_is_not_an_internal_error(golden, monkeypatch, error):
 
 
 def test_dead_flips_and_a_real_campaign_record_no_internal_error():
-    """Both injection paths, with the dead-flip answer firing."""
+    """Both injection paths, with the index answer firing on a register
+    that is on the golden run's free list."""
     warm = capture_golden(build_loop_program(30), small_config(), trace=False,
                           checkpoint_interval=24)
-    index = warm.checkpoints.dead_cells
-    cycle, register = next(
-        (cycle, reg) for cycle in range(warm.cycles // 2, warm.cycles)
-        for reg in range(small_config().num_phys_int_regs)
-        if index.dead(TargetStructure.RF, reg, cycle))
+    cpu = OutOfOrderCpu(warm.program, warm.config)
+    cpu.run(cycle_hook=lambda live: warm.result if (
+        live.cycle >= warm.cycles // 2 and len(live.free_list)) else None)
+    cycle, register = cpu.cycle, min(cpu.free_list.snapshot())
     dead = FaultSpec(0, TargetStructure.RF, entry=register, bit=5, cycle=cycle)
     faults = list(shared_fault_list(warm, TargetStructure.RF, sample_size=40))
     with obs.observe() as ctx:
@@ -75,5 +75,5 @@ def test_dead_flips_and_a_real_campaign_record_no_internal_error():
             inject_fault(warm, fault)
             inject_fault(warm, fault, fast_forward=True)
     registry = ctx.registry
-    assert registry.value("repro_run_end_total", reason="dead_flip") >= 1
+    assert registry.value("repro_run_end_total", reason="unread_flip") >= 1
     assert registry.total("repro_internal_errors_total") == 0

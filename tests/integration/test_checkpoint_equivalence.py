@@ -235,9 +235,12 @@ def test_dead_flip_exit_is_bit_identical_to_cold_start(workload, structure):
     Every such fault is masked, so the fast-forwarded run may stop at the
     fault cycle with the golden result; the cold path must agree field by
     field, and must itself equal the golden run.  The obs end-reason
-    counter proves the dead-flip exit actually fired.
+    counter proves the index exit actually fired: ``dead_flip`` for the
+    SQ and L1D, ``unread_flip`` for the RF, whose read windows answer
+    every free register.
     """
     golden_cold, golden_warm, dead = dead_replay(workload, structure)
+    reason = "unread_flip" if structure is TargetStructure.RF else "dead_flip"
     geometry = structure_geometry(structure, golden_cold.config)
     per_unit = WORDS_PER_LINE if structure is TargetStructure.L1D else 1
     cycles = sorted(dead)
@@ -264,7 +267,7 @@ def test_dead_flip_exit_is_bit_identical_to_cold_start(workload, structure):
         assert cold.result == golden_cold.result, fault.describe()
         assert cold.effect is FaultEffectClass.MASKED
         fired.append(ctx.registry.value("repro_run_end_total",
-                                        reason="dead_flip") or 0)
+                                        reason=reason) or 0)
 
     check()
-    assert sum(fired) >= 1, "the dead-flip exit never fired"
+    assert sum(fired) >= 1, f"the {reason} exit never fired"

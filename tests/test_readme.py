@@ -1,6 +1,6 @@
 """The README's stated gate floors, engine names, checkpoint spacing,
-CLI subcommands and performance table match the code and the recorded
-``BENCH_simcore.json``.
+CLI subcommands, run end reasons and performance table match the code
+and the recorded ``BENCH_simcore.json``.
 
 The floors of the ``benchmarks/`` gates are read from their modules with
 :mod:`ast` rather than imported (they are pytest files, not library
@@ -17,6 +17,7 @@ import pytest
 
 from repro.api.engine import ENGINES
 from repro.cli import build_parser
+from repro.uarch.pipeline import TerminationKind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,6 +99,17 @@ def test_readme_commands_are_cli_subcommands(capsys):
             parser.parse_args([name, "--help"])
         assert exited.value.code == 0, (
             f"the README runs `repro {name}`, which the CLI rejects")
+
+
+def test_run_end_reasons():
+    """The ``run_end_total`` row lists every reason the injector records:
+    a termination kind, a reconvergence exit or an index answer."""
+    (row,) = stated(r"\| `run_end_total\{reason\}` \| counter \| (.*?); "
+                    r"the reasons sum to `injections_total` \|")
+    listed = re.findall(r"`(\w+)`", row)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == ({kind.value for kind in TerminationKind}
+                           | {"reconverged", "dead_flip", "unread_flip"})
 
 
 def test_checkpoint_spacing():

@@ -1,9 +1,11 @@
 """The golden timeline's dead-cell index.
 
-The index answers "is this cell dead at this cycle?" from the golden run
-so that ``inject_fault`` can settle dead-on-arrival flips without a
-restore.  It must agree with the live-CPU predicate ``_flip_sites_dead``
-everywhere, and survive every way a timeline is produced: inline capture,
+The index answers "is a one-cycle flip into this cell at this cycle
+masked?" from the golden run, so that ``inject_fault`` can settle such
+flips without a restore: by read windows for the RF, by deadness for the
+SQ and L1D.  It must agree with the live-CPU predicate
+``_flip_sites_dead`` on the SQ and L1D everywhere, answer every free RF
+register, and survive every way a timeline is produced: inline capture,
 lazy replay and the artifact payload.
 """
 
@@ -49,13 +51,14 @@ def inline_golden():
 
 
 def all_answers(index, config, cycles):
-    """Every (structure, entry, cycle) answer, one word per L1D line."""
-    answers = []
+    """Per structure, every (entry, cycle) answer, one word per L1D line."""
+    answers = {}
     for structure in TargetStructure:
         geometry = structure_geometry(structure, config)
         step = WORDS_PER_LINE if structure is TargetStructure.L1D else 1
-        for entry in range(0, geometry.num_entries, step):
-            answers.append([index.dead(structure, entry, cycle) for cycle in cycles])
+        answers[structure] = [[index.masked(structure, entry, cycle)
+                               for cycle in cycles]
+                              for entry in range(0, geometry.num_entries, step)]
     return answers
 
 
@@ -64,11 +67,13 @@ def test_payload_round_trip_answers_identically(inline_golden):
     back = CheckpointTimeline.from_payload(timeline.to_payload())
     index = timeline.dead_cells
     assert (back.dead_cells.first, back.dead_cells.last) == (index.first, index.last)
-    # One boundary either side of the observed range answers "not dead".
+    # One boundary either side of the observed range answers "not masked".
     cycles = range(index.first - 1, index.last + 2)
     config = inline_golden.config
-    assert (all_answers(back.dead_cells, config, cycles)
-            == all_answers(index, config, cycles))
+    answers = all_answers(index, config, cycles)
+    for structure, rows in answers.items():
+        assert any(any(row) for row in rows), structure
+    assert all_answers(back.dead_cells, config, cycles) == answers
     assert back.dead_cells.to_payload() == index.to_payload()
 
 
@@ -91,59 +96,11 @@ def test_unobserved_index_knows_nothing():
     back = CheckpointTimeline.from_payload(timeline.to_payload())
     for index in (timeline.dead_cells, back.dead_cells):
         assert index.first is None
-        assert not index.dead(TargetStructure.RF, 40, 0)
+        for structure in TargetStructure:
+            assert not index.masked(structure, 40, 0)
 
 
-def test_old_schema_artifact_misses_and_is_rebuilt(tmp_path, monkeypatch):
-    """Timelines written before the index existed must never be served."""
-    spec = CampaignSpec(workload="sha", structure=TargetStructure.RF,
-                        config=small_config(), scale=1, faults=20)
-    schema = artifacts_module.ARTIFACT_SCHEMA_VERSION
-    monkeypatch.setattr(artifacts_module, "ARTIFACT_SCHEMA_VERSION", schema - 1)
-    Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(spec)
-    monkeypatch.undo()
-
-    with obs.observe() as ctx:
-        golden = Session(checkpointing=True,
-                         artifact_cache=ArtifactCache(tmp_path)).golden(spec)
-    registry = ctx.registry
-    assert registry.value("repro_artifact_cache_misses_total", role="main") == 1
-    assert registry.total("repro_golden_builds_total") == 1
-    assert golden.checkpoints.dead_cells.first == 0
-
-    with obs.observe() as ctx:
-        Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(spec)
-    assert ctx.registry.value("repro_artifact_cache_hits_total", role="main") == 1
-
-
-def unread_answers(index, config, cycles):
-    """Every (register, cycle) RF read-window answer."""
-    return [[index.unread(reg, cycle) for cycle in cycles]
-            for reg in range(config.num_phys_int_regs)]
-
-
-def test_payload_round_trip_answers_unread_identically(inline_golden):
-    index = inline_golden.checkpoints.dead_cells
-    back = CheckpointTimeline.from_payload(
-        inline_golden.checkpoints.to_payload()).dead_cells
-    cycles = range(index.first - 1, index.last + 2)
-    config = inline_golden.config
-    answers = unread_answers(index, config, cycles)
-    assert any(any(row) for row in answers)
-    assert unread_answers(back, config, cycles) == answers
-
-
-def test_lazy_replay_builds_the_inline_read_windows(inline_golden):
-    lazy = capture_golden(build_program("qsort", 1), small_config(), trace=False)
-    replayed = lazy.ensure_checkpoints().dead_cells
-    index = inline_golden.checkpoints.dead_cells
-    cycles = range(index.first, index.last + 1)
-    config = inline_golden.config
-    assert unread_answers(replayed, config, cycles) == unread_answers(
-        index, config, cycles)
-
-
-def test_an_unfinished_index_answers_no_unread_flip():
+def test_an_unfinished_index_answers_no_rf_flip():
     """Read windows exist only once the run has ended."""
     program, config = build_program("qsort", 1), small_config()
     timeline = CheckpointTimeline()
@@ -151,26 +108,60 @@ def test_an_unfinished_index_answers_no_unread_flip():
     index = timeline.dead_cells
     back = CheckpointTimeline.from_payload(timeline.to_payload()).dead_cells
     for answering in (index, back):
-        assert not any(answering.unread(reg, cycle)
+        assert not any(answering.masked(TargetStructure.RF, reg, cycle)
                        for reg in range(config.num_phys_int_regs)
                        for cycle in range(index.first, index.last + 1))
+
+
+SPEC = CampaignSpec(workload="sha", structure=TargetStructure.RF,
+                    config=small_config(), scale=1, faults=20)
+
+
+def rebuilt_over(schema, tmp_path, monkeypatch):
+    """The golden a session serves over an artifact written at ``schema``,
+    which must miss and be rebuilt; a second session then hits."""
+    monkeypatch.setattr(artifacts_module, "ARTIFACT_SCHEMA_VERSION", schema)
+    Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(SPEC)
+    monkeypatch.undo()
+
+    with obs.observe() as ctx:
+        golden = Session(checkpointing=True,
+                         artifact_cache=ArtifactCache(tmp_path)).golden(SPEC)
+    registry = ctx.registry
+    assert registry.value("repro_artifact_cache_misses_total", role="main") == 1
+    assert registry.total("repro_golden_builds_total") == 1
+
+    with obs.observe() as ctx:
+        Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(SPEC)
+    assert ctx.registry.value("repro_artifact_cache_hits_total", role="main") == 1
+    return golden
+
+
+def rf_answers(index):
+    return any(index.masked(TargetStructure.RF, reg, cycle)
+               for reg in range(SPEC.config.num_phys_int_regs)
+               for cycle in range(index.first, index.last + 1))
+
+
+def test_old_schema_artifact_misses_and_is_rebuilt(tmp_path, monkeypatch):
+    """Timelines written before the index existed must never be served."""
+    golden = rebuilt_over(1, tmp_path, monkeypatch)
+    assert golden.checkpoints.dead_cells.first == 0
 
 
 def test_schema_3_artifact_misses_and_is_rebuilt_with_read_windows(
         tmp_path, monkeypatch):
     """Timelines written before the RF read windows must never be served."""
-    spec = CampaignSpec(workload="sha", structure=TargetStructure.RF,
-                        config=small_config(), scale=1, faults=20)
-    monkeypatch.setattr(artifacts_module, "ARTIFACT_SCHEMA_VERSION", 3)
-    Session(checkpointing=True, artifact_cache=ArtifactCache(tmp_path)).golden(spec)
-    monkeypatch.undo()
+    golden = rebuilt_over(3, tmp_path, monkeypatch)
+    assert rf_answers(golden.checkpoints.dead_cells)
 
-    with obs.observe() as ctx:
-        golden = Session(checkpointing=True,
-                         artifact_cache=ArtifactCache(tmp_path)).golden(spec)
-    assert ctx.registry.value("repro_artifact_cache_misses_total", role="main") == 1
-    assert ctx.registry.total("repro_golden_builds_total") == 1
+
+def test_schema_4_artifact_misses_and_is_rebuilt_with_one_list_per_structure(
+        tmp_path, monkeypatch):
+    """Timelines whose index still kept RF deadness beside the read
+    windows, in a payload of another shape, must never be served."""
+    golden = rebuilt_over(4, tmp_path, monkeypatch)
     index = golden.checkpoints.dead_cells
-    assert any(index.unread(reg, cycle)
-               for reg in range(spec.config.num_phys_int_regs)
-               for cycle in range(index.first, index.last + 1))
+    first, last, structures = index.to_payload()
+    assert sorted(name for name, _, _ in structures) == ["L1D", "RF", "SQ"]
+    assert rf_answers(index)

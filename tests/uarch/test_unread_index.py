@@ -27,7 +27,8 @@ from repro.workloads.registry import build_program
 
 
 def test_every_unread_flip_of_a_loop_is_masked():
-    """Every answered-but-not-dead (register, cycle) pair, exhaustively."""
+    """Every answered (register, cycle) pair whose register is not on the
+    free list, exhaustively."""
     injected, disagreements = unread_index_disagreements(
         build_loop_program(3), small_config())
     assert injected > 1000
