@@ -46,10 +46,13 @@ class SerialEngine:
     """Run specs sequentially through one shared session.
 
     ``checkpointing=True`` runs every injection fast-forwarded: golden runs
-    capture a machine-state checkpoint timeline, and each injection run
-    restores the nearest checkpoint at-or-before its fault's cycle and
-    simulates only the tail, ending early when the faulty state
-    reconverges exactly onto a later golden checkpoint.  Outcomes are
+    capture a machine-state checkpoint timeline and the order in which
+    they read and overwrite every fault-target cell, and each injection
+    run skips to the next read: it restores the last checkpoint before
+    its flipped cells are first read, jumps ahead again while it differs
+    from the golden run only in stored values that are read later, and
+    ends with the golden result once no differing value is read again
+    (see :func:`~repro.faults.injector.inject_fault`).  Outcomes are
     bit-identical either way — only wall clock changes.  Snapshots start
     at cycle 0, 64 cycles apart, and the spacing doubles whenever more
     than 32 accrue (see README, "Checkpoint spacing").

@@ -49,7 +49,9 @@ from repro.version import __version__
 #: cycle 0 and snapshots carry no structure-read logs.  4: the dead-cell
 #: index carries the RF read windows.  5: the index holds one toggle list
 #: per structure (RF read windows, SQ/L1D deadness) and no RF deadness.
-ARTIFACT_SCHEMA_VERSION = 5
+#: 6: the index holds, per cell of every structure, the golden run's
+#: ordered reads and full overwrites.
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3

@@ -97,14 +97,16 @@ class ObsContext:
         )
         self._stepped_cycles = registry.counter(
             "repro_stepped_cycles_total",
-            "Pipeline cycles injection runs actually stepped (restored "
-            "prefixes and early-exit tails excluded).",
+            "Pipeline cycles injection runs actually stepped, summed over "
+            "their segments (restored prefixes, skipped stretches and "
+            "early-exit tails excluded).",
         )
         self._run_ends = registry.counter(
             "repro_run_end_total",
             "Injection runs by why they ended: the termination kind, "
-            "reconverged, unread_flip (RF read windows) or dead_flip "
-            "(SQ/L1D deadness).",
+            "reconverged, unread_values (only stored values differed, "
+            "none read again), unread_flip (an RF fault answered at its "
+            "cycle) or dead_flip (an SQ/L1D fault answered at its cycle).",
             labels=("reason",),
         )
         self._internal_errors = registry.counter(

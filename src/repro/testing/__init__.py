@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.faults.golden import GoldenRecord, capture_golden
 from repro.faults.injector import inject_fault
 from repro.faults.model import FaultList, FaultSpec
 from repro.faults.sampling import generate_fault_list
 from repro.isa.builder import ProgramBuilder
+from repro.isa.memory import DATA_BASE
 from repro.isa.program import Program
 from repro.isa.registers import Reg as R
 from repro.uarch.checkpoint import (
@@ -42,6 +43,7 @@ from repro.uarch.structures import (
 __all__ = [
     "build_loop_program",
     "build_call_program",
+    "build_l1d_access_program",
     "small_config",
     "shared_loop_golden",
     "shared_fault_list",
@@ -143,6 +145,55 @@ def build_call_program(calls: int = 10, name: str = "calls") -> Program:
     return b.build()
 
 
+def build_l1d_access_program(name: str = "l1d-access") -> Program:
+    """A kernel that drives every kind of L1D access the dead-cell index logs.
+
+    It is laid out for a 1 KB, 4-way L1D (``small_config().with_l1d(1)``:
+    four sets, 256 bytes apart):
+
+    - a full-word store and a 2-byte store into line A; the second covers
+      part of word 2, so it is logged as a read of it;
+    - after a slow multiply chain, four loads into A's set: the last
+      evicts the dirty line A, whose write-back reads every word of it,
+      and fills another line into the same way in the same cycle;
+    - a branch whose slow condition is taken while it is predicted not
+      taken: on its wrong path one load reads a pointer from a resident
+      line and another dereferences it, and both are squashed;
+    - a line left dirty at the end, which the end-of-run flush reads.
+    """
+    b = ProgramBuilder(name)
+    base = -(-DATA_BASE // 256) * 256
+    ptr = base + 5 * 256 + 64  # set 1, away from line A's set 0
+    # The pointer word holds the address of word 0 of its own line.
+    words = [0] * (6 * 256 // 8)
+    words[(ptr - base) // 8 + 1] = ptr
+    buf = b.alloc_bytes("buf", b"".join(
+        word.to_bytes(8, "little") for word in words), align=256)
+    assert buf == base
+    b.movi(R.RDI, buf)
+    b.movi(R.RSI, ptr)
+    b.movi(R.RAX, 0x1122334455667788)
+    b.store(R.RAX, R.RDI, 0)
+    b.store(R.RAX, R.RDI, 18, size=2)
+    b.load(R.R12, R.RSI, 0)  # brings the pointer's line in, clean
+    b.movi(R.RDX, 0)
+    for _ in range(16):
+        b.mul(R.RDX, R.RDX, 3)
+    b.add(R.RBX, R.RDI, R.RDX)
+    for way in range(1, 5):
+        b.load(R.R8, R.RBX, 256 * way)
+    b.add(R.RCX, R.RSI, R.RDX)
+    b.div(R.R9, R.RDX, 7)
+    b.beq(R.R9, 0, "skip")
+    b.load(R.R10, R.RCX, 8)
+    b.load(R.R11, R.R10, 0)
+    b.label("skip")
+    b.store(R.RAX, R.RDI, 2 * 64)  # set 2: still dirty at the end
+    b.out(R.R8)
+    b.halt()
+    return b.build()
+
+
 def small_config() -> MicroarchConfig:
     """A configuration with small structures (fast, stresses resource limits)."""
     return MicroarchConfig().with_register_file(64).with_store_queue(16).with_l1d(16)
@@ -196,13 +247,12 @@ def dead_index_disagreements(program: Program,
     """Check a golden timeline's dead-cell index against its oracle.
 
     Captures ``program``'s golden run with a checkpoint timeline, replays
-    it, and at every cycle boundary of the replay checks
+    it, and at every cycle boundary checks
     :meth:`~repro.uarch.checkpoint.DeadCellIndex.masked` against
     :func:`~repro.uarch.checkpoint._flip_sites_dead` for every RF
     register, SQ slot and L1D line (a line through one of its words, which
-    rotates with the cycle).  The SQ and L1D, whose rule is deadness,
-    must agree exactly; the RF, whose rule is read windows, must answer
-    every dead (free) register.  Returns ``(pairs checked,
+    rotates with the cycle): every dead cell, whose next access must be a
+    full overwrite, must be answered masked.  Returns ``(pairs checked,
     disagreements)``.
     """
     config = config if config is not None else MicroarchConfig()
@@ -222,12 +272,10 @@ def dead_index_disagreements(program: Program,
         for structure, faults in probes.items():
             if structure is TargetStructure.L1D:
                 faults = faults[cycle % WORDS_PER_LINE::WORDS_PER_LINE]
-            exact = structure is not TargetStructure.RF
             for fault in faults:
                 counts[0] += 1
-                dead = _flip_sites_dead(cpu, fault)
-                if ((dead or exact)
-                        and dead != index.masked(structure, fault.entry, cycle)):
+                if (_flip_sites_dead(cpu, fault)
+                        and not index.masked(structure, fault.entry, cycle)):
                     counts[1] += 1
         return None
 
@@ -235,48 +283,113 @@ def dead_index_disagreements(program: Program,
     return counts[0], counts[1]
 
 
+def _live_units(cpu: OutOfOrderCpu, structure: TargetStructure) -> bytes:
+    """Per storage unit of ``structure``, whether it is in use (not dead):
+    a register off the free list, a valid SQ slot, a valid L1D line."""
+    if structure is TargetStructure.RF:
+        live = bytearray([1]) * cpu.prf.num_regs
+        for reg in cpu.free_list.snapshot():
+            live[reg] = 0
+        return bytes(live)
+    if structure is TargetStructure.SQ:
+        return bytes(slot.valid for slot in cpu.store_queue.slots)
+    return bytes(line.valid for ways in cpu.dcache.lines for line in ways)
+
+
+def _masked_spans(codes, first: int, last: int) -> Iterator[Tuple[int, int]]:
+    """The ``[start, end]`` boundary spans at which a flip into a cell with
+    these access codes (:class:`~repro.uarch.checkpoint.DeadCellIndex`'s
+    ``2 * cycle + read``) is masked: those whose next access is an
+    overwrite, and those after the last access."""
+    previous = first - 1
+    for code in codes:
+        cycle = code >> 1
+        if not code & 1:
+            yield previous + 1, cycle
+        previous = cycle
+    if previous < last:
+        yield previous + 1, last
+
+
 def unread_index_disagreements(program: Program,
                                config: Optional[MicroarchConfig] = None,
+                               structure: TargetStructure = TargetStructure.RF,
                                sample: Optional[int] = None,
                                seed: int = 0) -> Tuple[int, int]:
-    """Check a golden timeline's RF read windows by injection.
+    """Check a golden timeline's access logs for ``structure`` by injection.
 
-    Captures ``program``'s golden run with a checkpoint timeline, replays
-    it, and at every cycle boundary collects the registers the dead-cell
-    index answers as masked that are not on the free list: the
-    ``unread_flip`` faults that only the read windows settle (the free
-    ones :func:`dead_index_disagreements` covers).  ``sample`` of these
-    (register, cycle) pairs (all when None) are drawn with ``seed``, each
-    gets a bit drawn with the same generator, and each is injected on the
-    reference path: a fresh CPU from cycle 0, no fast-forward.  A result
-    that differs from the golden result in any field is a disagreement.
-    Returns ``(faults injected, disagreements)``.
+    Captures ``program``'s golden run with a checkpoint timeline and
+    finds, per cell (an RF register, an SQ data latch, an L1D word), the
+    runs of boundaries at which the dead-cell index answers a flip masked
+    although the cell is in use: a register off the free list, a valid
+    slot, a word of a valid line (one replay finds when each unit is in
+    use; dead cells are :func:`dead_index_disagreements`' part).  Such an
+    answer is wrong only if the golden run reads the cell, unlogged,
+    before it next overwrites it, so the first boundary of each run, which
+    precedes every such read, is the fault that tells; and the fault
+    flips every bit of the cell, so that such a read shows as widely as
+    it can.  ``sample`` of these (cell, boundary) faults (all when None)
+    are drawn with ``seed``, and each is injected on the reference path:
+    a fresh CPU from cycle 0, no fast-forward.  A result that differs from
+    the golden result in any field is a disagreement.  Returns ``(faults
+    injected, disagreements)``.
     """
     config = config if config is not None else MicroarchConfig()
     golden = capture_golden(program, config, trace=False,
                             checkpoint_interval=DEFAULT_INTERVAL)
     index = golden.checkpoints.dead_cells
-    geometry = structure_geometry(TargetStructure.RF, config)
-    pairs = []
+    first, last, structures = index.to_payload()
+    codes = {}
+    for name, _, accessed in structures:
+        if TargetStructure[name] is structure:
+            codes = dict(accessed)
+    geometry = structure_geometry(structure, config)
+    # Per unit, the [start, end] boundary spans it is in use.
+    live_spans: dict = {}
+    opened: dict = {}
+    previous = [b""]
 
-    def collect(cpu: OutOfOrderCpu) -> None:
-        cycle = cpu.cycle
-        free = set(cpu.free_list.snapshot())
-        pairs.extend((reg, cycle) for reg in range(geometry.num_entries)
-                     if reg not in free
-                     and index.masked(TargetStructure.RF, reg, cycle))
+    def record(cpu: OutOfOrderCpu) -> None:
+        live = _live_units(cpu, structure)
+        if live != previous[0]:
+            before = previous[0] or bytes(len(live))
+            for unit, (was, now) in enumerate(zip(before, live)):
+                if now and not was:
+                    opened[unit] = cpu.cycle
+                elif was and not now:
+                    live_spans.setdefault(unit, []).append(
+                        (opened.pop(unit), cpu.cycle - 1))
+            previous[0] = live
         return None
 
-    _replay(golden, collect)
-    rng = random.Random(seed)
-    if sample is not None and sample < len(pairs):
-        pairs = rng.sample(pairs, sample)
+    _replay(golden, record)
+    for unit, start in opened.items():
+        live_spans.setdefault(unit, []).append((start, last))
+    per_unit = WORDS_PER_LINE if structure is TargetStructure.L1D else 1
+    faults = []
+    for entry in range(geometry.num_entries):
+        spans = live_spans.get(entry // per_unit, [])
+        masked = list(_masked_spans(codes.get(entry, ()), first, last))
+        i = j = 0
+        while i < len(masked) and j < len(spans):
+            (low, high), (start, end) = masked[i], spans[j]
+            if start <= high and low <= end:
+                faults.append((entry, max(start, low)))
+            if high < end:
+                i += 1
+            else:
+                j += 1
+    if sample is not None and sample < len(faults):
+        faults = random.Random(seed).sample(faults, sample)
     disagreements = 0
-    for reg, cycle in pairs:
-        fault = FaultSpec(0, TargetStructure.RF, entry=reg,
-                          bit=rng.randrange(geometry.bits_per_entry), cycle=cycle)
+    for entry, cycle in faults:
+        # Every bit of the cell at once: any read of it shows.
+        fault = FaultSpec(0, structure, entry=entry, bit=0, cycle=cycle,
+                          model="multi-bit",
+                          flips=tuple((entry, bit) for bit
+                                      in range(geometry.bits_per_entry)))
         disagreements += inject_fault(golden, fault).result != golden.result
-    return len(pairs), disagreements
+    return len(faults), disagreements
 
 
 def timeline_disagreements(program: Program,

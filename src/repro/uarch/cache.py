@@ -160,9 +160,10 @@ class DataCache:
         # Delta-checkpoint support: flat line indices (set * assoc + way)
         # mutated since the last drain (None while tracking is disabled).
         self._dirty = None
-        # Flat line indices that became valid or invalid, in order, while a
-        # dead-cell index records the run (None otherwise).
-        self._toggled: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
+        # Data-array accesses in the order they happen, while a dead-cell
+        # index records the run (None otherwise): a read as the word's
+        # fault-target entry, a full overwrite as its complement.
+        self._access_log: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -237,6 +238,8 @@ class DataCache:
             self.memory.load_bytes(base, bytes(line.data))
             self.stats.l1d_writebacks += 1
             self.l2.access(base)
+            if self._access_log is not None:
+                self._log_line(set_index, way, read=True)
             if self.tracer is not None and self.tracer.enabled:
                 # A dirty write-back reads every word of the line on behalf of
                 # no committed instruction (sentinel RIP), see DESIGN.md.
@@ -253,8 +256,12 @@ class DataCache:
         line.tag = None
         if self._dirty is not None:
             self._dirty.add(set_index * self.assoc + way)
-        if self._toggled is not None:
-            self._toggled.append(set_index * self.assoc + way)
+
+    def _log_line(self, set_index: int, way: int, read: bool) -> None:
+        """Log a read or a full overwrite of every word of one line."""
+        first = self.entry_index(set_index, way, 0)
+        entries = range(first, first + WORDS_PER_LINE)
+        self._access_log.extend(entries if read else [~entry for entry in entries])
 
     def _fill(self, set_index: int, tag: int, cycle: int) -> Tuple[int, int]:
         """Bring the line (set, tag) into the cache; returns (way, extra latency)."""
@@ -284,8 +291,8 @@ class DataCache:
         line.dirty = False
         if self._dirty is not None:
             self._dirty.add(set_index * self.assoc + lru_way)
-        if self._toggled is not None:
-            self._toggled.append(set_index * self.assoc + lru_way)
+        if self._access_log is not None:
+            self._log_line(set_index, lru_way, read=False)
         if self.tracer is not None and self.tracer.enabled:
             for word in range(WORDS_PER_LINE):
                 self.tracer.record_l1d(
@@ -336,6 +343,8 @@ class DataCache:
         line = self.lines[set_index][way]
         value = int.from_bytes(line.data[offset:offset + size], "little")
         touched = self._touched_entries(set_index, way, offset, size)
+        if self._access_log is not None:
+            self._access_log.extend(touched)
         return CacheAccessResult(value=value, latency=latency, hit=hit, touched_entries=touched)
 
     def write(self, address: int, value: int, size: int, cycle: int) -> CacheAccessResult:
@@ -347,6 +356,14 @@ class DataCache:
         if self._dirty is not None:
             self._dirty.add(set_index * self.assoc + way)
         touched = self._touched_entries(set_index, way, offset, size)
+        log = self._access_log
+        if log is not None:
+            # A store covering a whole word overwrites it; a narrower one
+            # keeps the word's other bytes, so it is logged as a read.
+            end = offset + size
+            for entry in touched:
+                low = (entry % WORDS_PER_LINE) * 8
+                log.append(~entry if offset <= low and low + 8 <= end else entry)
         return CacheAccessResult(value=value, latency=latency, hit=hit, touched_entries=touched)
 
     # ------------------------------------------------------------------
@@ -393,6 +410,8 @@ class DataCache:
                 if line.valid and line.dirty:
                     base = self._line_base_address(set_index, line.tag)
                     self.memory.load_bytes(base, bytes(line.data))
+                    if self._access_log is not None:
+                        self._log_line(set_index, way, read=True)
                     line.dirty = False
                     if self._dirty is not None:
                         self._dirty.add(set_index * self.assoc + way)
@@ -411,14 +430,19 @@ class DataCache:
         self._dirty = set()
         return dirty if dirty is not None else set()
 
-    def begin_toggle_log(self) -> List[int]:
-        """Log every line (``set * assoc + way``) that becomes valid or
-        invalid from now on.
+    def begin_access_log(self) -> List[int]:
+        """Log every read and full overwrite of a data-array word from now on.
 
-        Returns the log; the caller drains it.
+        A load reads the words it covers, squashed loads included; a dirty
+        line's write-back, on eviction or in the end-of-run flush, reads
+        every word of the line; ``_fill`` overwrites every word of the
+        line; a store overwrites each word it covers whole and reads (is
+        conservatively logged as reading) each word it covers in part.
+        A read appends the word's fault-target entry, an overwrite its
+        complement.  Returns the log; the caller drains it.
         """
-        self._toggled = []
-        return self._toggled
+        self._access_log = []
+        return self._access_log
 
     def line_state(self, line_index: int) -> Tuple:
         """One line's (tag, valid, dirty, data, last_use) snapshot tuple."""

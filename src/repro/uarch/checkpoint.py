@@ -54,22 +54,24 @@ Reconvergence early-exit
 ------------------------
 Exact state equality also enables a second, larger saving: if at some
 checkpointed cycle *after* the flip the faulty machine state equals the
-golden state (the flipped bit was overwritten before ever being read —
-the dominant masking mechanism), determinism guarantees the rest of the
-run replays the golden run exactly, so the injection run can stop and
-return a copy of the golden result.  This is what pushes campaign-level
-speedups beyond the 2x bound of pure prefix skipping.
+golden state, determinism guarantees the rest of the run replays the
+golden run exactly, so the injection run can stop and return a copy of
+the golden result.  The check is wider than equality: a run that differs
+from the golden run only in stored values (register values, store-queue
+data latches, L1D words) whose next golden access is an overwrite, or
+that are never accessed again, ends the same way; one whose differing
+values are read only later jumps to the last golden checkpoint before
+that read, carrying the values along (:func:`make_reconvergence_hook`).
 
 Dead-cell index
 ---------------
-Many faults need no run at all.  The timeline also records where a
-one-cycle flip is masked (:class:`DeadCellIndex`), by one rule per
-structure: an RF register is masked from the boundaries at which its
-next physical access is a write, or at which it is never accessed again
-(read windows); an SQ slot or L1D line is masked while it is *dead* —
-free storage whose next access is a full overwrite.  A one-cycle fault
-whose flip entries are all masked is masked exactly, so the injector
-answers it from the index before any restore.
+Many faults need no run at all.  The timeline also records, per
+fault-target cell, the golden run's reads and full overwrites in order
+(:class:`DeadCellIndex`).  A one-cycle fault whose every flipped cell is
+overwritten before it is read, or never read again, is masked exactly,
+so the injector answers it from the index before any restore; any other
+one-cycle fault starts at the last checkpoint before its cells' first
+read, with the flip deferred to that checkpoint.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ from repro.uarch.pipeline import (
     _MacroContext,
 )
 from repro.uarch.stats import SimStats
-from repro.uarch.structures import WORDS_PER_LINE, TargetStructure
+from repro.uarch.structures import (
+    WORDS_PER_LINE,
+    TargetStructure,
+    structure_geometry,
+)
 
 #: Snapshot spacing (cycles) of every golden timeline, captured inline or
 #: replayed, until thinning doubles it.
@@ -554,26 +560,32 @@ def merge_deltas(older: DeltaState, newer: DeltaState) -> DeltaState:
     return merged
 
 
-def _restore_touched(cpu: OutOfOrderCpu, state: CpuState) -> None:
-    """Rewrite only the component entries dirtied since the last restore.
+def _restore_touched(cpu: OutOfOrderCpu, state: CpuState,
+                     touched: Tuple[set, ...]) -> None:
+    """Rewrite only the component entries dirtied since the last restore,
+    plus the ``touched`` ones (per :data:`_KEYED_FIELDS` component).
 
-    Valid only when ``cpu`` was previously fully restored to this *same*
-    ``state`` object with dirty tracking active: everything that diverged
-    since is exactly the union of the components' dirty sets, so the big
-    stable structures (branch predictor tables, L2 tag store, cache lines,
-    memory words) are left untouched instead of being rebuilt per run.
+    Valid only when ``cpu`` was last fully restored, with dirty tracking
+    active, to a state that differs from ``state`` at most in the
+    ``touched`` entries (none when it is ``state`` itself): everything
+    that diverged since is the union of the components' dirty sets, so
+    the big stable structures (branch predictor tables, L2 tag store,
+    cache lines, memory words) are left untouched instead of being
+    rebuilt per run.
     """
+    (prf_keys, sq_keys, line_keys, l2_keys, icache_keys, predictor_keys,
+     btb_keys, memory_keys) = touched or tuple(set() for _ in _KEYED_FIELDS)
     # Physical register file.
     prf = cpu.prf
     values, ready = state.prf
-    for index in sorted(prf.drain_dirty()):
+    for index in sorted(prf.drain_dirty() | prf_keys):
         prf.values[index] = values[index]
         prf.ready[index] = ready[index]
 
     # Store queue (head/tail/occupancy are cheap scalars, always reset).
     sq = cpu.store_queue
     sq.head, sq.tail, sq.occupancy, slot_states = state.store_queue
-    for index in sorted(sq.drain_dirty()):
+    for index in sorted(sq.drain_dirty() | sq_keys):
         sq.restore_slot(index, slot_states[index])
     sq.recount_pending()
 
@@ -581,21 +593,21 @@ def _restore_touched(cpu: OutOfOrderCpu, state: CpuState) -> None:
     dcache = cpu.dcache
     line_states, l2_state, dcache._tick = state.dcache
     assoc = dcache.assoc
-    for line_index in sorted(dcache.drain_dirty()):
+    for line_index in sorted(dcache.drain_dirty() | line_keys):
         set_index, way = divmod(line_index, assoc)
         line = dcache.lines[set_index][way]
         line.tag, line.valid, line.dirty, data, line.last_use = line_states[line_index]
         line.data[:] = data
     l2 = dcache.l2
     l2_tags, l2_lru, l2._tick = l2_state
-    for set_index in sorted(l2.drain_dirty()):
+    for set_index in sorted(l2.drain_dirty() | l2_keys):
         l2._tags[set_index] = list(l2_tags[set_index])
         l2._lru[set_index] = list(l2_lru[set_index])
 
     # L1 instruction cache tag store.
     icache = cpu.icache._cache
     i_tags, i_lru, icache._tick = state.icache
-    for set_index in sorted(icache.drain_dirty()):
+    for set_index in sorted(icache.drain_dirty() | icache_keys):
         icache._tags[set_index] = list(i_tags[set_index])
         icache._lru[set_index] = list(i_lru[set_index])
 
@@ -605,6 +617,8 @@ def _restore_touched(cpu: OutOfOrderCpu, state: CpuState) -> None:
     predictor = cpu.branch_unit.predictor
     predictor.global_history = history
     predictor_dirty, btb_dirty = cpu.branch_unit.drain_dirty()
+    predictor_dirty |= predictor_keys
+    btb_dirty |= btb_keys
     for table, index in sorted(predictor_dirty):
         if table == "local":
             predictor._local_table[index] = local[index]
@@ -624,7 +638,7 @@ def _restore_touched(cpu: OutOfOrderCpu, state: CpuState) -> None:
     heap_end, words = state.memory
     memory.heap_end = heap_end
     live = memory._words
-    for address in sorted(memory.drain_dirty()):
+    for address in sorted(memory.drain_dirty() | memory_keys):
         stored = words.get(address)
         if stored is None:
             live.pop(address, None)
@@ -632,7 +646,8 @@ def _restore_touched(cpu: OutOfOrderCpu, state: CpuState) -> None:
             live[address] = stored
 
 
-def restore_state(cpu: OutOfOrderCpu, state: CpuState) -> None:
+def restore_state(cpu: OutOfOrderCpu, state: CpuState,
+                  timeline: Optional["CheckpointTimeline"] = None) -> None:
     """Restore ``cpu`` in place from ``state``.
 
     ``cpu`` must have been constructed for the same program and
@@ -644,7 +659,9 @@ def restore_state(cpu: OutOfOrderCpu, state: CpuState) -> None:
     that to amortise construction cost.  Repeated restores of the *same* state
     object take a fast path: dirty tracking (enabled on the first restore)
     pins down everything the previous run touched, and only those entries
-    are rewritten.
+    are rewritten.  So does a restore of another checkpoint of
+    ``timeline`` than the one the CPU was last restored from: the entries
+    the golden run touched between the two are rewritten too.
 
     Raises ``ValueError`` when ``cpu`` traces: the state carries no
     structure-read logs, so a traced run after a restore would commit an
@@ -653,8 +670,13 @@ def restore_state(cpu: OutOfOrderCpu, state: CpuState) -> None:
     if cpu.tracer.enabled:
         raise ValueError("cannot restore into a tracing CPU: snapshots "
                          "carry no structure-read logs")
-    if cpu._restore_base is state and cpu.delta_tracking:
-        _restore_touched(cpu, state)
+    base = cpu._restore_base
+    touched = None
+    if base is not None and base is not state and timeline is not None:
+        touched = timeline.touched(base, state)
+    if cpu.delta_tracking and (base is state or touched is not None):
+        _restore_touched(cpu, state, touched)
+        cpu._restore_base = state
     else:
         cpu.memory.restore(state.memory)
         cpu.prf.restore(state.prf)
@@ -727,80 +749,78 @@ def new_restore_pool(program, config):
 # Dead-cell index
 # ----------------------------------------------------------------------
 class DeadCellIndex:
-    """Where a one-cycle flip into each fault-target cell of one golden
-    run is masked, so the golden run alone answers it.
+    """The golden run's physical accesses to every fault-target cell, so
+    that the golden run alone answers where a stored value is read next.
 
-    One rule per structure decides it:
+    One representation serves all three structures: per unit (an RF
+    register, an SQ data latch, an L1D word), the ordered accesses that
+    either *read* the stored value or *fully overwrite* it.  A read is
+    anything that lets a value reach the rest of the machine; the logs
+    (:meth:`OutOfOrderCpu.begin_access_log`) list them per structure:
 
-    - **RF: read windows.**  A flip into a register that the golden run
-      does not read before it writes it again, or before the run ends, is
-      masked, allocated or not.  The index logs every physical register
-      access in the order it happens: operand reads at issue and address
-      generation, by any uop, squashed and replayed ones included, since
-      a wrong-path read can still steer the cache and the timing; the
-      pipeline reads register values nowhere else.  Writeback overwrites
-      all 64 bits of a register, and within a cycle it runs before issue,
-      so a write and a read in the same cycle order as they happen.  A
-      :class:`SimulationResult` carries no register values, so a flip
-      that is never read leaves every field of it as the golden run's.
-      A free register is the special case: it is written before it is
-      read.
-    - **SQ and L1D: deadness.**  A flip into a store-queue slot that is
-      not ``valid``, or into an L1D word whose line is not ``valid``, is
-      masked: store-queue data is read only when ``data_ready`` is set,
-      and ``set_data`` overwrites the latch before setting it; an invalid
-      L1D line is never looked up, evicted or flushed, and ``_fill``
-      overwrites every byte of it.  (:func:`_flip_sites_dead` is the same
-      predicate on a live CPU, kept as this index's test oracle.)
+    - **RF:** operand reads at issue and address generation, by any uop,
+      squashed and replayed ones included, since a wrong-path read can
+      still steer the cache and the timing; a writeback overwrites all 64
+      bits.
+    - **SQ:** store-to-load forwarding (a partial ``forward_value`` and a
+      squashed load included) and the drain of a committed store, during
+      the run or at its end, read the latch; ``set_data`` overwrites it.
+    - **L1D:** loads (squashed ones included), a dirty line's write-back
+      on eviction and the end-of-run flush (``memory_hash`` is a result
+      field) read; ``_fill`` overwrites the whole line; a store overwrites
+      the words it covers whole, and counts as a read of a word it covers
+      in part.
 
-    Either way, at the boundary ``fault.cycle``, before the fault is
-    applied, the injection run equals the golden run, since no fault has
-    fired yet; so every later read, and therefore the whole
-    :class:`SimulationResult`, equals the golden run's, and
-    :func:`~repro.faults.injector.inject_fault` answers the fault with
-    the golden result before any restore.  Like the reconvergence exit,
-    this holds only for an injection run that ends where the golden run
-    did, as the injector checks: a golden run that halted, or a SimPoint
+    A :class:`SimulationResult` carries no stored value other than through
+    these reads.  So if, at a cycle boundary, a run equals the golden run
+    except in a set of cells, every cell whose next golden access is an
+    overwrite, or that is never accessed again, can be forgotten, and the
+    rest are safe until the earliest next read of any of them:
+    :func:`~repro.faults.injector.inject_fault` answers a one-cycle fault
+    whose every flipped cell is masked (:meth:`masked_reason`) with the
+    golden result before any restore, and otherwise restores the golden
+    checkpoint before the flipped cells' first read
+    (:meth:`next_read`); :func:`make_reconvergence_hook` applies the same
+    rule at later checkpoints.  Like the reconvergence exit, an answer
+    holds only for an injection run that ends where the golden run did,
+    as the injector checks: a golden run that halted, or a SimPoint
     injection, which stops at the golden run's instruction count.
-    Windowed faults (intermittent, stuck-at) are never answered: a later
-    application could land after the cell comes back to life.
+    (:func:`_flip_sites_dead` is a stricter predicate on a live CPU,
+    "the cell is free storage", kept as this index's test oracle: every
+    dead cell must be answered masked.)
 
-    Storage is O(state changes), not O(cycles x cells): per unit
-    (register, slot, L1D line), the ascending boundaries at which "a flip
-    here is masked" toggled, starting with the first observed boundary
-    for the units masked there; a flip is masked where an odd number of
-    them have passed, so a query is one ``bisect`` per flip entry.
-    Capture costs O(changes) too.  :meth:`observe` runs at every cycle
+    Storage is O(accesses): per unit, ascending codes ``2 * cycle +
+    read``, one per cycle (the first access in a cycle decides every
+    boundary before it), with a run of overwrites kept only as its last;
+    a query is one ``bisect``.  :meth:`observe` runs at every cycle
     boundary of the golden run, through
-    :meth:`CheckpointTimeline.observe`; at its first boundary it arms the
-    store queue and the L1D, which from then on log every unit they move
-    into or out of use (``begin_toggle_log``), and the CPU's RF access
-    log (``begin_rf_access_log``); each later boundary drains those logs.
-    :meth:`finish` drains the run's last step, which no boundary follows,
-    and only then writes the RF's list, since a register's last window
-    closes at the run's end.
+    :meth:`CheckpointTimeline.observe`: at its first boundary it arms the
+    CPU's access logs, and each later boundary drains them.
+    :meth:`finish` drains the run's last step and its end-of-run drains,
+    which no boundary follows; until then the index answers nothing.
     """
 
     def __init__(self) -> None:
         #: First and last observed cycle boundaries (None: never observed).
         self.first: Optional[int] = None
         self.last: Optional[int] = None
-        #: Per structure, per unit: the boundaries its masking toggled at
-        #: (the RF only once :meth:`finish` has closed the run).
-        self._toggles: Dict[TargetStructure, List[List[int]]] = {}
-        #: (component log, per-unit toggles) pairs drained by observe.
-        self._logs: Tuple[Tuple[List[int], List[List[int]]], ...] = ()
-        #: While capturing: the CPU's RF access log, the RF toggles so
-        #: far, and per register its last accessed cycle and whether the
-        #: window ending there is read-first.
-        self._rf_capture: Optional[Tuple[List[int], List[List[int]],
-                                         List[int], List[bool]]] = None
+        #: Per structure, per unit: its access codes (once finished).
+        self._accesses: Dict[TargetStructure, List[List[int]]] = {}
+        #: While capturing: per structure, the CPU's access log and the
+        #: per-unit codes so far.
+        self._capture: Dict[TargetStructure, Tuple[List[int], List[List[int]]]] = {}
 
     def observe(self, cpu: OutOfOrderCpu) -> None:
-        """Record the units whose masking changed since the last boundary."""
+        """Record the accesses of the cycle that ended at this boundary."""
         cycle = cpu.cycle
         if self.last is None:
-            self._start(cpu)
+            self.first = self.last = cycle
+            logs = cpu.begin_access_log()
+            self._capture = {
+                structure: (log, [[] for _ in range(
+                    structure_geometry(structure, cpu.config).num_entries)])
+                for structure, log in logs.items()
+            }
             return
         if cycle != self.last + 1:
             raise ValueError(
@@ -808,91 +828,75 @@ class DeadCellIndex:
                 f"it must see every boundary of one run"
             )
         self.last = cycle
-        for log, toggles in self._logs:
-            if log:
-                for unit in log:
-                    toggles[unit].append(cycle)
-                log.clear()
-        if self._rf_capture is not None:
-            self._drain_reads(cycle - 1)
+        self._drain(cycle - 1)
 
     def finish(self) -> None:
         """Close the run once the golden run has returned.
 
         The run's last step follows its last observed boundary (an
-        instruction budget ends it after a full cycle), so its RF accesses
-        are drained here; then every register still waiting for a read
-        window to end gets its last one closed, since nothing reads it
-        before the run ends.  Until this is called, :meth:`masked` answers
-        nothing for the RF.
+        instruction budget ends it after a full cycle), and the end-of-run
+        store drain and L1D flush follow that step; their accesses are
+        drained here, as the last boundary's.  Until this is called the
+        index answers nothing, since a value the run never reads might
+        still reach the end-of-run flush.
         """
-        if self._rf_capture is None:
+        if not self._capture:
             return
-        self._drain_reads(self.last)
-        _, toggles, seen, live = self._rf_capture
-        for reg, cycles in enumerate(toggles):
-            if live[reg]:
-                cycles.append(seen[reg] + 1)
-        self._toggles[TargetStructure.RF] = toggles
-        self._rf_capture = None
+        self._drain(self.last)
+        self._accesses = {structure: units
+                          for structure, (_, units) in self._capture.items()}
+        self._capture = {}
 
-    def _drain_reads(self, cycle: int) -> None:
-        """Fold the RF accesses of ``cycle`` into the RF toggles.
-
-        A register's first access in a cycle decides every boundary since
-        the cycle it was last accessed in: the flip at such a boundary is
-        read if that access is a read, overwritten if it is a write.
-        """
-        log, toggles, seen, live = self._rf_capture
-        for code in log:
-            read = code >= 0
-            reg = code if read else ~code
-            if seen[reg] != cycle:
-                if live[reg] != read:
-                    toggles[reg].append(seen[reg] + 1)
-                    live[reg] = read
-                seen[reg] = cycle
-        log.clear()
-
-    def _start(self, cpu: OutOfOrderCpu) -> None:
-        cycle = self.first = self.last = cpu.cycle
-        dead_units = {
-            TargetStructure.SQ: (cpu.store_queue, cpu.store_queue.slots),
-            TargetStructure.L1D: (
-                cpu.dcache, [line for ways in cpu.dcache.lines for line in ways]),
-        }
-        logs = []
-        for structure, (component, units) in dead_units.items():
-            toggles = [[] if unit.valid else [cycle] for unit in units]
-            self._toggles[structure] = toggles
-            logs.append((component.begin_toggle_log(), toggles))
-        self._logs = tuple(logs)
-        # Every register starts masked: its first window is not yet read.
-        num_regs = cpu.prf.num_regs
-        self._rf_capture = (cpu.begin_rf_access_log(),
-                            [[cycle] for _ in range(num_regs)],
-                            [cycle - 1] * num_regs, [False] * num_regs)
+    def _drain(self, cycle: int) -> None:
+        """Fold the logged accesses of ``cycle`` into the per-unit codes."""
+        read, write = 2 * cycle + 1, 2 * cycle
+        for log, units in self._capture.values():
+            for code in log:
+                if code >= 0:
+                    codes, new = units[code], read
+                else:
+                    codes, new = units[~code], write
+                if codes:
+                    last = codes[-1]
+                    if last >> 1 == cycle:
+                        continue
+                    if not (last | new) & 1:
+                        codes[-1] = new
+                        continue
+                codes.append(new)
+            log.clear()
 
     # ------------------------------------------------------------------
+    def next_read(self, structure: TargetStructure, entry: int,
+                  cycle: int) -> Optional[int]:
+        """The cycle of the golden run's next read of fault-target
+        ``entry``, from boundary ``cycle`` on; None when its next access
+        is a full overwrite, or when it is never accessed again.
+
+        Where the index knows nothing (outside the observed boundaries,
+        or before :meth:`finish`) the answer is ``cycle`` itself: read at
+        once.
+        """
+        units = self._accesses.get(structure)
+        if units is None or not self.first <= cycle <= self.last:
+            return cycle
+        codes = units[entry]
+        position = bisect.bisect_left(codes, 2 * cycle)
+        if position == len(codes) or not codes[position] & 1:
+            return None
+        return codes[position] >> 1
+
     def masked(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
         """Whether a one-cycle flip into fault-target ``entry`` at boundary
-        ``cycle`` is masked.
-
-        False outside the observed boundaries, where the index knows
-        nothing, and for the RF before :meth:`finish`.
-        """
-        units = self._toggles.get(structure)
-        if units is None or not self.first <= cycle <= self.last:
-            return False
-        unit = entry // WORDS_PER_LINE if structure is TargetStructure.L1D else entry
-        return bool(bisect.bisect_right(units[unit], cycle) & 1)
+        ``cycle`` is masked: overwritten before it is read, or never read."""
+        return self.next_read(structure, entry, cycle) is None
 
     def masked_reason(self, fault) -> Optional[str]:
         """Why the golden run alone shows ``fault`` masked, or None.
 
         Only one-cycle faults qualify, and every flip entry must be
-        masked: ``unread_flip`` for the RF, whose rule is read windows,
-        ``dead_flip`` for the SQ and L1D, whose rule is deadness.
+        masked: ``unread_flip`` for the RF, ``dead_flip`` for the SQ and
+        L1D.
         """
         structure, cycle = fault.structure, fault.cycle
         if fault.last_active_cycle != cycle or not all(
@@ -904,14 +908,14 @@ class DeadCellIndex:
     # ------------------------------------------------------------------
     def to_payload(self) -> Tuple:
         """Pure data: the observed range, then per structure its unit
-        count and the units' toggle cycles (units that never toggle are
+        count and the units' access codes (units never accessed are
         omitted)."""
         return (self.first, self.last, tuple(
             (structure.name,
-             len(toggles),
-             tuple((unit, tuple(cycles))
-                   for unit, cycles in enumerate(toggles) if cycles))
-            for structure, toggles in self._toggles.items()
+             len(units),
+             tuple((unit, tuple(codes))
+                   for unit, codes in enumerate(units) if codes))
+            for structure, units in self._accesses.items()
         ))
 
     @classmethod
@@ -919,11 +923,11 @@ class DeadCellIndex:
         """Inverse of :meth:`to_payload`; the result answers, never observes."""
         index = cls()
         index.first, index.last, structures = payload
-        for name, count, toggled in structures:
-            toggles: List[List[int]] = [[] for _ in range(count)]
-            for unit, cycles in toggled:
-                toggles[unit] = list(cycles)
-            index._toggles[TargetStructure[name]] = toggles
+        for name, count, accessed in structures:
+            units: List[List[int]] = [[] for _ in range(count)]
+            for unit, codes in accessed:
+                units[unit] = list(codes)
+            index._accesses[TargetStructure[name]] = units
         return index
 
 
@@ -1069,6 +1073,25 @@ class CheckpointTimeline:
             return None
         return self._full(index)
 
+    def touched(self, one: CpuState, other: CpuState) -> Optional[Tuple[set, ...]]:
+        """Per entry-keyed component (:data:`_KEYED_FIELDS`), the entries
+        the golden run touched between checkpoints ``one`` and ``other``
+        (in either order), a superset of those in which they differ; None
+        unless both are this timeline's checkpoint objects."""
+        cycles = self._cycles
+        positions = []
+        for state in (one, other):
+            position = bisect.bisect_left(cycles, state.cycle)
+            if position >= len(cycles) or self._composed[position] is not state:
+                return None
+            positions.append(position)
+        first, last = sorted(positions)
+        keys = tuple(set() for _ in _KEYED_FIELDS)
+        for record in self._records[first + 1:last + 1]:
+            for union, name in zip(keys, _KEYED_FIELDS):
+                union.update(getattr(record, name))
+        return keys
+
     def state_at(self, cycle: int) -> Optional[CpuState]:
         """The checkpoint taken exactly at ``cycle``, if any."""
         index = bisect.bisect_left(self._cycles, cycle)
@@ -1179,49 +1202,16 @@ def _quick_mismatch(cpu: OutOfOrderCpu, state: CpuState) -> bool:
     )
 
 
-def _flip_site_matches(cpu: OutOfOrderCpu, state: CpuState, fault) -> bool:
-    """O(flip sites) filter: do the faulted cells themselves match golden?
-
-    A flip that was never read and never overwritten persists in its
-    storage cell for the rest of the run; such a run can never reconverge,
-    so the (heavier) full-state comparison is pointless while any faulted
-    cell still differs.  Every distinct entry of the fault's flip set is
-    checked (a multi-bit burst has one, an unlikely hand-built spec may
-    span several).  The tuple indices below mirror the component
-    ``snapshot()`` layouts in this module's contract: ``prf`` is
-    ``(values, ready)``, a store-queue slot is ``(valid, seq, address,
-    size, addr_ready, data, …)``, a cache line is ``(tag, valid, dirty,
-    data, last_use)`` flattened as ``set * assoc + way``.
-    """
-    structure = fault.structure
-    for entry in fault.flip_entries():
-        if structure is TargetStructure.RF:
-            if cpu.prf.values[entry] != state.prf[0][entry]:
-                return False
-        elif structure is TargetStructure.SQ:
-            if cpu.store_queue.slots[entry].data != state.store_queue[3][entry][5]:
-                return False
-        elif structure is TargetStructure.L1D:
-            set_index, way, word = cpu.dcache.entry_location(entry)
-            line = cpu.dcache.lines[set_index][way]
-            stored = state.dcache[0][set_index * cpu.dcache.assoc + way][3]
-            lo, hi = word * 8, word * 8 + 8
-            if line.data[lo:hi] != stored[lo:hi]:
-                return False
-    return True
-
-
 def _flip_sites_dead(cpu: OutOfOrderCpu, fault) -> bool:
     """O(flip sites) check: is every faulted cell free storage right now?
 
-    The sibling of :func:`_flip_site_matches`, with the same per-structure
-    dispatch.  A cell is *dead* when its next access must be a full
-    overwrite: an RF register on the free list, a store-queue slot that
-    is not ``valid``, or an L1D word whose line is not ``valid``.  Every
-    distinct entry of the flip set must be dead.  The test oracle of
-    :class:`DeadCellIndex`, which answers from the golden run without a
-    CPU: for the SQ and L1D the same question, for the RF one that every
-    dead register passes (a free register is written before it is read).
+    A cell is *dead* when its next access must be a full overwrite: an RF
+    register on the free list, a store-queue slot that is not ``valid``,
+    or an L1D word whose line is not ``valid``.  Every distinct entry of
+    the flip set must be dead.  The test oracle of :class:`DeadCellIndex`,
+    which answers from the golden run without a CPU a wider question that
+    every dead cell passes: is the cell overwritten before it is read, or
+    never read again?
     """
     structure = fault.structure
     for entry in fault.flip_entries():
@@ -1238,43 +1228,261 @@ def _flip_sites_dead(cpu: OutOfOrderCpu, fault) -> bool:
     return True
 
 
+#: The DeltaState fields keyed by component entries that
+#: :func:`value_divergence` compares entry by entry, in the order of
+#: :func:`_live_dirty`.
+_KEYED_FIELDS = ("prf_entries", "sq_slots", "dcache_lines", "l2_sets",
+                 "icache_sets", "predictor_entries", "btb_entries",
+                 "memory_words")
+
+
+def _live_dirty(cpu: OutOfOrderCpu) -> Tuple[Optional[set], ...]:
+    """The CPU's dirty sets, in :data:`_KEYED_FIELDS` order, undrained."""
+    branch = cpu.branch_unit
+    return (cpu.prf._dirty, cpu.store_queue._dirty, cpu.dcache._dirty,
+            cpu.dcache.l2._dirty, cpu.icache._cache._dirty,
+            branch.predictor._dirty, branch.btb._dirty, cpu.memory._dirty)
+
+
+def _compared_keys(cpu: OutOfOrderCpu, timeline: "CheckpointTimeline",
+                   state: CpuState) -> Tuple:
+    """Per keyed component, the entries in which ``cpu`` can differ from
+    ``state``: every entry, unless ``cpu`` was restored from a checkpoint
+    of ``timeline`` and has tracked its writes since."""
+    base = cpu._restore_base
+    dirty = _live_dirty(cpu)
+    touched = None
+    if base is not None and cpu.delta_tracking and None not in dirty:
+        touched = timeline.touched(base, state)
+    if touched is not None:
+        return tuple(live | golden for live, golden in zip(dirty, touched))
+    (local, global_, chooser, _), (btb_tags, _) = state.branch
+    predictor = [(name, index)
+                 for name, table in (("local", local), ("global", global_),
+                                     ("chooser", chooser))
+                 for index in range(len(table))]
+    return (range(cpu.prf.num_regs),
+            range(cpu.store_queue.num_entries), range(len(state.dcache[0])),
+            range(cpu.dcache.l2.num_sets), range(cpu.icache._cache.num_sets),
+            predictor, range(len(btb_tags)),
+            set(cpu.memory._words) | set(state.memory[1]))
+
+
+def value_divergence(cpu: OutOfOrderCpu, timeline: "CheckpointTimeline",
+                     state: CpuState) -> Optional[List[Tuple]]:
+    """The value cells in which ``cpu`` differs from ``timeline``'s
+    checkpoint ``state``, taken at ``cpu``'s cycle; None when it differs
+    anywhere else.
+
+    A value cell is an RF register's value, an SQ slot's data latch or an
+    L1D word; each is returned as ``(structure, entry, live value)``.
+    Everything else must be equal: memory, ready bits, slot and line
+    control fields, the in-flight uops with their values, cache tags and
+    LRU, the branch predictor, timing and statistics.  The cost is
+    O(touched entries): for a CPU restored from a checkpoint of
+    ``timeline`` with dirty tracking on (every injection CPU) only the
+    entries in its dirty sets since that restore, read without draining,
+    and those the golden run's deltas touched between that checkpoint and
+    ``state`` can differ; any other CPU is compared everywhere.
+    """
+    if (_quick_mismatch(cpu, state)
+            or cpu.fetch_stall_until != state.fetch_stall_until
+            or cpu._last_commit_cycle != state.last_commit_cycle
+            or tuple(cpu.rename_map) != state.rename_map
+            or tuple(cpu.retirement_map) != state.retirement_map
+            or cpu.free_list.snapshot() != state.free_list
+            or cpu.load_queue.snapshot() != state.load_queue):
+        return None
+    (prf_keys, sq_keys, line_keys, l2_keys, icache_keys, predictor_keys,
+     btb_keys, memory_keys) = _compared_keys(cpu, timeline, state)
+
+    # Branch predictor tables and BTB.
+    (local, global_, chooser, history), (btb_tags, btb_targets) = state.branch
+    predictor = cpu.branch_unit.predictor
+    if predictor.global_history != history:
+        return None
+    tables = {"local": local, "global": global_, "chooser": chooser}
+    for table, index in predictor_keys:
+        if predictor.table_value(table, index) != tables[table][index]:
+            return None
+    btb = cpu.branch_unit.btb
+    for index in btb_keys:
+        if btb.entry(index) != (btb_tags[index], btb_targets[index]):
+            return None
+
+    # Tag stores: L1I and L2.
+    i_tags, i_lru, i_tick = state.icache
+    icache = cpu.icache._cache
+    if icache._tick != i_tick:
+        return None
+    for index in icache_keys:
+        if icache.set_state(index) != (i_tags[index], i_lru[index]):
+            return None
+    line_states, (l2_tags, l2_lru, l2_tick), d_tick = state.dcache
+    dcache = cpu.dcache
+    l2 = dcache.l2
+    if l2._tick != l2_tick or dcache._tick != d_tick:
+        return None
+    for index in l2_keys:
+        if l2.set_state(index) != (l2_tags[index], l2_lru[index]):
+            return None
+
+    # Memory words.
+    heap_end, words = state.memory
+    live_words = cpu.memory._words
+    if cpu.memory.heap_end != heap_end:
+        return None
+    for address in memory_keys:
+        if live_words.get(address) != words.get(address):
+            return None
+
+    cells: List[Tuple] = []
+    # Store queue: only the data latch (field 5) may differ.
+    sq = cpu.store_queue
+    head, tail, occupancy, slot_states = state.store_queue
+    if (sq.head, sq.tail, sq.occupancy) != (head, tail, occupancy):
+        return None
+    for index in sorted(sq_keys):
+        live, golden = sq.slot_state(index), slot_states[index]
+        if live != golden:
+            if live[:5] != golden[:5] or live[6:] != golden[6:]:
+                return None
+            cells.append((TargetStructure.SQ, index, live[5]))
+
+    # L1D lines: only data words may differ.
+    for line_index in sorted(line_keys):
+        tag, valid, dirty, data, last_use = dcache.line_state(line_index)
+        g_tag, g_valid, g_dirty, g_data, g_last_use = line_states[line_index]
+        if (tag, valid, dirty, last_use) != (g_tag, g_valid, g_dirty, g_last_use):
+            return None
+        if data != g_data:
+            first = line_index * WORDS_PER_LINE
+            for word in range(WORDS_PER_LINE):
+                low = word * 8
+                value = data[low:low + 8]
+                if value != g_data[low:low + 8]:
+                    cells.append((TargetStructure.L1D, first + word, value))
+
+    # Physical register file: ready bits equal, values may differ.
+    live_values, live_ready = cpu.prf.values, cpu.prf.ready
+    values, ready = state.prf
+    for index in sorted(prf_keys):
+        if live_ready[index] != ready[index]:
+            return None
+        if live_values[index] != values[index]:
+            cells.append((TargetStructure.RF, index, live_values[index]))
+
+    # The in-flight window last: it is the dearest to encode.
+    if _encode_inflight(cpu) != (state.macros, state.entries, state.rob_len,
+                                 state.issue_queue, state.completions,
+                                 state.decode_queue):
+        return None
+    return cells
+
+
+def write_cells(cpu: OutOfOrderCpu, cells) -> None:
+    """Store the ``(structure, entry, value)`` cells of
+    :func:`value_divergence` into ``cpu``, marking each dirty."""
+    for structure, entry, value in cells:
+        if structure is TargetStructure.RF:
+            cpu.prf.values[entry] = value
+            cpu.prf._dirty.add(entry)
+        elif structure is TargetStructure.SQ:
+            cpu.store_queue.slots[entry].data = value
+            cpu.store_queue._dirty.add(entry)
+        else:
+            dcache = cpu.dcache
+            set_index, way, word = dcache.entry_location(entry)
+            dcache.lines[set_index][way].data[word * 8:word * 8 + 8] = value
+            dcache._dirty.add(set_index * dcache.assoc + way)
+
+
+class ValueSkip:
+    """What a fast-forwarded run's reconvergence hook found about the
+    run's value-only divergence from the golden run.
+
+    ``jump`` is ``(checkpoint, cells)`` when the run may restore that
+    golden checkpoint, store those :func:`value_divergence` cells and go
+    on; the caller does so between ``OutOfOrderCpu.run`` calls and
+    clears it.  ``unread`` is set when the hook ended the run on cells
+    that differ from the golden run but are never read again.
+    """
+
+    __slots__ = ("jump", "unread")
+
+    def __init__(self) -> None:
+        self.jump: Optional[Tuple[CpuState, List[Tuple]]] = None
+        self.unread = False
+
+
 def make_reconvergence_hook(
     timeline: CheckpointTimeline,
     fault,
     golden_result: SimulationResult,
+    skip: Optional[ValueSkip] = None,
 ) -> Callable[[OutOfOrderCpu], Optional[SimulationResult]]:
-    """Build a ``cycle_hook`` that ends a run once it reconverges.
+    """Build a ``cycle_hook`` that ends a run once the rest of it provably
+    equals the golden run.
 
     At every checkpointed cycle strictly after the *active window* of
     ``fault`` (a :class:`~repro.faults.model.FaultSpec`) has closed, the
-    live state is compared — exactly, field by field — against the golden
-    checkpoint.  On equality the simulator is deterministic, so the rest
-    of the run *is* the golden run: the hook returns a copy of the golden
-    result, which stops the pipeline.  Checkpoints inside a still-open
-    window are never candidates: a later re-application (intermittent) or
-    re-pin (stuck-at) could diverge state that momentarily matched.  Runs
-    that cannot have reconverged pay only O(1) pre-checks per checkpoint
-    (scalar divergence counters, then the faulted cells themselves).
+    live state is compared with the golden checkpoint by
+    :func:`value_divergence`, in O(touched entries).  If it differs
+    anywhere but in stored values, the run goes on.  Otherwise the cells
+    whose next golden access is a full overwrite, or that are never
+    accessed again, are dropped (:meth:`DeadCellIndex.next_read`); if
+    none is left — the state was equal (exact reconvergence), or every
+    differing value is never read — the simulator's determinism makes the
+    rest of the run the golden run, and the hook returns a copy of the
+    golden result, which stops the pipeline.  Checkpoints inside a
+    still-open window are never candidates: a later re-application
+    (intermittent) or re-pin (stuck-at) could diverge state that
+    momentarily matched.
 
-    One-cycle faults that land only in RF registers the golden run
-    writes, or never accesses, before it reads them, or only in dead SQ
-    slots or L1D lines, never get here:
+    With ``skip``, a run whose remaining cells are next read past a later
+    checkpoint is handed that jump: the hook sets ``skip.jump`` to the
+    last golden checkpoint at or before the earliest of those reads, with
+    the cells' faulty values.  Until then nothing reads or writes them, so
+    that checkpoint plus those values *is* the run's state there.  The
+    hook does not stop the run for it; the caller does, and restores
+    between ``OutOfOrderCpu.run`` calls (see
+    :func:`~repro.faults.injector.inject_fault`).
+
+    One-cycle faults whose every flipped cell the golden run overwrites,
+    or never accesses, before it reads it never get here:
     :func:`~repro.faults.injector.inject_fault` answers them from the
     timeline's :class:`DeadCellIndex` before any restore.
     """
     last_active = fault.last_active_cycle
+    index = timeline.dead_cells
 
     def hook(cpu: OutOfOrderCpu) -> Optional[SimulationResult]:
+        nonlocal last_active
         cycle = cpu.cycle
         if cycle <= last_active:
             return None
         state = timeline.state_at(cycle)
-        if state is None or _quick_mismatch(cpu, state):
+        if state is None:
             return None
-        if not _flip_site_matches(cpu, state, fault):
+        cells = value_divergence(cpu, timeline, state)
+        if cells is None:
             return None
-        if capture_state(cpu) == state:
+        kept, reads = [], []
+        for cell in cells:
+            read = index.next_read(cell[0], cell[1], cycle)
+            if read is not None:
+                kept.append(cell)
+                reads.append(read)
+        if not kept:
+            if skip is not None:
+                skip.unread = bool(cells)
             return clone_result(golden_result)
+        if skip is not None:
+            target = timeline.nearest(min(reads))
+            if target.cycle > cycle:
+                skip.jump = (target, kept)
+                # The landing checkpoint holds these same cells.
+                last_active = target.cycle
         return None
 
     return hook

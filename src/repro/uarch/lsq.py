@@ -82,9 +82,6 @@ class StoreQueue:
         # Delta-checkpoint support: indices of slots mutated since the last
         # drain (None while tracking is disabled).
         self._dirty = None
-        # Slots that became valid or invalid, in order, while a dead-cell
-        # index records the run (None otherwise).
-        self._toggled: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
     # ------------------------------------------------------------------
     def has_free(self) -> bool:
@@ -121,8 +118,6 @@ class StoreQueue:
         self._addr_pending += 1
         if self._dirty is not None:
             self._dirty.add(index)
-        if self._toggled is not None:
-            self._toggled.append(index)
         return index
 
     def set_address(self, index: int, address: int, demand: bool, crash: Optional[str]) -> None:
@@ -151,8 +146,6 @@ class StoreQueue:
         """Deallocate ``slot``, maintaining the pending-address counter."""
         if not slot.addr_ready:
             self._addr_pending -= 1
-        if self._toggled is not None and slot.valid:
-            self._toggled.append(slot.index)
         slot.reset()
         if self._dirty is not None:
             self._dirty.add(slot.index)
@@ -289,8 +282,9 @@ class StoreQueue:
         persistent data latches of *free* slots.  A fault in a free latch
         changes machine state until the slot is refilled, so state
         equality must see it; it never changes the outcome, because
-        ``set_data`` overwrites the latch before any read (the dead-flip
-        exit of :func:`~repro.uarch.checkpoint.make_reconvergence_hook`).
+        ``set_data`` overwrites the latch before any read (which is why
+        the golden run's :class:`~repro.uarch.checkpoint.DeadCellIndex`
+        answers such a flip without a run).
 
         Snapshot/restore contract: immutable, picklable, ``==`` iff the
         queues are bit-identical.
@@ -322,14 +316,6 @@ class StoreQueue:
         dirty = self._dirty
         self._dirty = set()
         return dirty if dirty is not None else set()
-
-    def begin_toggle_log(self) -> List[int]:
-        """Log every slot that becomes valid or invalid from now on.
-
-        Returns the log; the caller drains it.
-        """
-        self._toggled = []
-        return self._toggled
 
 
 class LoadQueue:

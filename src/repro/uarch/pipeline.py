@@ -229,10 +229,12 @@ class OutOfOrderCpu:
         # logs and snapshots leave them out, so a CPU records exactly when
         # it traces.
         self.record_reads = self.tracer.enabled
-        # Physical RF accesses in the order they happen (a read as the
-        # register, a full-width write as its complement) while a
-        # dead-cell index records the run (None otherwise).
+        # Physical RF and SQ data-latch accesses in the order they happen
+        # (a read as the register or slot, a full overwrite as its
+        # complement) while a dead-cell index records the run (None
+        # otherwise); the L1D keeps its own log.
         self._rf_log: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
+        self._sq_log: Optional[List[int]] = None  # repro-lint: transient -- capture-time event log, drained every cycle
 
         self.memory: MemoryImage = program.initial_memory()
         self.icache = InstructionCache(self.config, self.stats)
@@ -394,15 +396,18 @@ class OutOfOrderCpu:
 
         return capture_state(self)
 
-    def restore(self, state) -> None:
+    def restore(self, state, timeline=None) -> None:
         """Restore this CPU in place from a :meth:`snapshot` value.
 
         The CPU must target the same program and configuration the state
         was captured from, and must not trace; the fault plan is preserved.
+        With the golden ``timeline`` the state belongs to, moving between
+        its checkpoints rewrites only what changed (see
+        :func:`~repro.uarch.checkpoint.restore_state`).
         """
         from repro.uarch.checkpoint import restore_state
 
-        restore_state(self, state)
+        restore_state(self, state, timeline)
 
     def enable_delta_tracking(self) -> None:
         """Start dirty-entry tracking on every stateful component.
@@ -420,15 +425,25 @@ class OutOfOrderCpu:
         self.memory.begin_dirty_tracking()
         self.delta_tracking = True
 
-    def begin_rf_access_log(self) -> List[int]:
-        """Log every physical register read and write from now on.
+    def begin_access_log(self) -> Dict[TargetStructure, List[int]]:
+        """Log every read and full overwrite of a fault-target cell from now on.
 
-        Returns the log; the caller drains it.  A read (at issue or at
+        Returns one log per structure; the caller drains them.  A read
+        appends the cell's fault-target entry, an overwrite its
+        complement, in the order they happen.  RF: a read at issue or at
         address generation, by any uop, squashed or replayed ones
-        included) appends the register, a writeback appends ``~register``.
+        included; a writeback overwrites.  SQ: store-to-load forwarding
+        (squashed loads included) and the drain of a committed store,
+        during the run or at its end, read the data latch; ``set_data``
+        overwrites it.  L1D: see :meth:`DataCache.begin_access_log`.
         """
         self._rf_log = []
-        return self._rf_log
+        self._sq_log = []
+        return {
+            TargetStructure.RF: self._rf_log,
+            TargetStructure.SQ: self._sq_log,
+            TargetStructure.L1D: self.dcache.begin_access_log(),
+        }
 
     def _drain_remaining_stores(self) -> None:
         """Drain committed stores left in the SQ when the run stops.
@@ -442,6 +457,8 @@ class OutOfOrderCpu:
             if slot is None or not slot.committed:
                 break
             if slot.addr_ready and slot.data_ready:
+                if self._sq_log is not None:
+                    self._sq_log.append(slot.index)
                 self.dcache.write(slot.address, slot.data, slot.size, self.cycle)
             self.store_queue.release_head()
 
@@ -569,6 +586,8 @@ class OutOfOrderCpu:
             return
         if not (slot.addr_ready and slot.data_ready):
             raise SimulatorAssertError("committed store drained without address or data")
+        if self._sq_log is not None:
+            self._sq_log.append(slot.index)
         result = self.dcache.write(slot.address, slot.data, slot.size, self.cycle)
         self.stats.stores_committed += 1
         if self.tracer.enabled:
@@ -829,6 +848,8 @@ class OutOfOrderCpu:
                 entry.demand = False
                 return False
             entry.result = slot.forward_value(address, size)
+            if self._sq_log is not None:
+                self._sq_log.append(slot.index)
             if self.record_reads:
                 entry.sq_reads.append((slot.index, self.cycle))
             entry.latency = self._l1_hit_latency
@@ -870,6 +891,8 @@ class OutOfOrderCpu:
         if entry.macro.sq_index is None:
             raise SimulatorAssertError("store data executed without a store-queue slot")
         self.store_queue.set_data(entry.macro.sq_index, value)
+        if self._sq_log is not None:
+            self._sq_log.append(~entry.macro.sq_index)
         if self.tracer.enabled:
             self.tracer.record_sq(entry.macro.sq_index, self.cycle, AccessKind.WRITE)
 

@@ -19,11 +19,7 @@ from repro.faults.model import FaultSpec
 from repro.faults.models import IntermittentBurst, StuckAt0, StuckAt1
 from repro.testing import build_loop_program, small_config
 from repro.uarch.pipeline import OutOfOrderCpu
-from repro.uarch.structures import (
-    WORDS_PER_LINE,
-    TargetStructure,
-    structure_geometry,
-)
+from repro.uarch.structures import TargetStructure, structure_geometry
 
 
 @pytest.fixture(scope="module")
@@ -143,32 +139,23 @@ def replay_until(golden, predicate):
     return cpu
 
 
-def read_next(golden, cycle):
-    """RF registers whose next access after boundary ``cycle`` of the
-    golden run is a read."""
+def read_next(golden, cycle, structure=TargetStructure.RF):
+    """Entries of ``structure`` whose next access after boundary ``cycle``
+    of the golden run is a read."""
     logs = []
 
     def arm(cpu):
         if cpu.cycle == cycle:
-            logs.append(cpu.begin_rf_access_log())
+            logs.append(cpu.begin_access_log()[structure])
         return None
 
     OutOfOrderCpu(golden.program, golden.config).run(cycle_hook=arm)
     first_access = {}
     for code in logs[0]:
         first_access.setdefault(code if code >= 0 else ~code, code >= 0)
-    read = sorted(reg for reg, is_read in first_access.items() if is_read)
-    assert read, f"nothing reads a register after cycle {cycle}"
+    read = sorted(entry for entry, is_read in first_access.items() if is_read)
+    assert read, f"nothing reads {structure.name} after cycle {cycle}"
     return read
-
-
-def live_entries(cpu, structure):
-    """SQ slots or L1D lines (one word each) in use at this boundary."""
-    if structure is TargetStructure.SQ:
-        return [slot.index for slot in cpu.store_queue.slots if slot.valid]
-    lines = [line for ways in cpu.dcache.lines for line in ways]
-    return [index * WORDS_PER_LINE for index, line in enumerate(lines)
-            if line.valid]
 
 
 def index_exits(golden_warm, fault) -> float:
@@ -183,16 +170,10 @@ def index_exits(golden_warm, fault) -> float:
 
 @pytest.mark.parametrize("structure", list(TargetStructure), ids=lambda s: s.name)
 def test_live_entry_never_exits_at_fault_cycle(golden, golden_warm, structure):
-    """A register the golden run reads next, a valid SQ slot or a valid
-    L1D line is live."""
-    if structure is TargetStructure.RF:
-        cycle = golden.cycles // 3
-        entries = read_next(golden, cycle)
-    else:
-        cpu = replay_until(golden, lambda live: (
-            live.cycle >= golden.cycles // 3 and live_entries(live, structure)))
-        cycle, entries = cpu.cycle, live_entries(cpu, structure)
-    for entry in entries[:4]:
+    """A register, store-queue latch or L1D word that the golden run
+    reads next is live."""
+    cycle = golden.cycles // 3
+    for entry in read_next(golden, cycle, structure)[:4]:
         fault = FaultSpec(0, structure, entry=entry, bit=1, cycle=cycle)
         both_paths(golden, golden_warm, fault)
         assert index_exits(golden_warm, fault) == 0, fault.describe()

@@ -31,7 +31,7 @@ def observed_run(engine_name, tmp_path):
     return outcome.comprehensive, ctx.registry
 
 
-EARLY = {"reconverged", "dead_flip", "unread_flip"}
+EARLY = {"reconverged", "unread_values", "dead_flip", "unread_flip"}
 
 
 def end_reasons(registry):

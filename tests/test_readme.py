@@ -103,13 +103,15 @@ def test_readme_commands_are_cli_subcommands(capsys):
 
 def test_run_end_reasons():
     """The ``run_end_total`` row lists every reason the injector records:
-    a termination kind, a reconvergence exit or an index answer."""
+    a termination kind, a reconvergence or value-divergence exit, or an
+    index answer."""
     (row,) = stated(r"\| `run_end_total\{reason\}` \| counter \| (.*?); "
                     r"the reasons sum to `injections_total` \|")
     listed = re.findall(r"`(\w+)`", row)
     assert len(listed) == len(set(listed))
     assert set(listed) == ({kind.value for kind in TerminationKind}
-                           | {"reconverged", "dead_flip", "unread_flip"})
+                           | {"reconverged", "unread_values", "dead_flip",
+                              "unread_flip"})
 
 
 def test_checkpoint_spacing():

@@ -1,12 +1,13 @@
 """The golden timeline's dead-cell index.
 
-The index answers "is a one-cycle flip into this cell at this cycle
-masked?" from the golden run, so that ``inject_fault`` can settle such
-flips without a restore: by read windows for the RF, by deadness for the
-SQ and L1D.  It must agree with the live-CPU predicate
-``_flip_sites_dead`` on the SQ and L1D everywhere, answer every free RF
-register, and survive every way a timeline is produced: inline capture,
-lazy replay and the artifact payload.
+The index answers "when does the golden run next read this cell?" from
+the golden run, so that ``inject_fault`` can settle a flip that is
+overwritten before it is read, or never read, without a restore, and
+skip to the first read of any other.  One rule serves the RF, SQ and
+L1D.  It must answer every cell the live-CPU predicate
+``_flip_sites_dead`` finds dead, log the L1D's accesses in the order
+they happen, and survive every way a timeline is produced: inline
+capture, lazy replay and the artifact payload.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from repro.api.spec import CampaignSpec
 from repro.cluster import artifacts as artifacts_module
 from repro.cluster.artifacts import ArtifactCache
 from repro.faults.golden import capture_golden
-from repro.testing import dead_index_disagreements, small_config
+from repro.testing import (
+    build_l1d_access_program,
+    dead_index_disagreements,
+    small_config,
+)
 from repro.uarch.checkpoint import DEFAULT_INTERVAL, CheckpointTimeline
 from repro.uarch.pipeline import OutOfOrderCpu
 from repro.uarch.structures import (
@@ -156,6 +161,19 @@ def test_schema_3_artifact_misses_and_is_rebuilt_with_read_windows(
     assert rf_answers(golden.checkpoints.dead_cells)
 
 
+def test_schema_5_artifact_misses_and_is_rebuilt_with_access_lists(
+        tmp_path, monkeypatch):
+    """Timelines whose index kept SQ/L1D deadness toggles and RF read
+    windows must never be served: the same payload shape holds access
+    codes now."""
+    golden = rebuilt_over(5, tmp_path, monkeypatch)
+    _, _, structures = golden.checkpoints.dead_cells.to_payload()
+    accessed = {name: units for name, _, units in structures}
+    assert sorted(accessed) == ["L1D", "RF", "SQ"]
+    # Some L1D word is read: a code with its read bit set.
+    assert any(code & 1 for _, codes in accessed["L1D"] for code in codes)
+
+
 def test_schema_4_artifact_misses_and_is_rebuilt_with_one_list_per_structure(
         tmp_path, monkeypatch):
     """Timelines whose index still kept RF deadness beside the read
@@ -165,3 +183,62 @@ def test_schema_4_artifact_misses_and_is_rebuilt_with_one_list_per_structure(
     first, last, structures = index.to_payload()
     assert sorted(name for name, _, _ in structures) == ["L1D", "RF", "SQ"]
     assert rf_answers(index)
+
+
+# ----------------------------------------------------------------------
+# The L1D kernel: one dirty eviction and fill, one sub-word store
+# ----------------------------------------------------------------------
+KERNEL_CONFIG = small_config().with_l1d(1)
+
+
+def l1d_log_by_cycle(program, config):
+    """A replay's L1D access codes, per cycle that logged any."""
+    logs, by_cycle = {}, {}
+
+    def hook(cpu):
+        if not logs:
+            logs.update(cpu.begin_access_log())
+            return None
+        log = logs[TargetStructure.L1D]
+        if log:
+            by_cycle[cpu.cycle - 1] = list(log)
+            log.clear()
+        return None
+
+    OutOfOrderCpu(program, config).run(cycle_hook=hook)
+    return by_cycle
+
+
+def test_l1d_kernel_pins_the_logged_access_order():
+    """Line A is the first line filled into set 0 (way 0).  Its dirty
+    eviction reads every word (the write-back) before the fill of the
+    new line overwrites them, all in one cycle, so the index holds a read
+    there; the 2-byte store into A's word 2 is logged as a read of it,
+    never as an overwrite, while the full-word store into word 0 is."""
+    program = build_l1d_access_program()
+    golden = capture_golden(program, KERNEL_CONFIG, trace=False,
+                            checkpoint_interval=DEFAULT_INTERVAL)
+    index = golden.checkpoints.dead_cells
+    dcache = OutOfOrderCpu(program, KERNEL_CONFIG).dcache
+    line_a = [dcache.entry_index(0, 0, word) for word in range(WORDS_PER_LINE)]
+    write_back_then_fill = line_a + [~entry for entry in line_a]
+    by_cycle = l1d_log_by_cycle(program, KERNEL_CONFIG)
+
+    evictions = [cycle for cycle, codes in by_cycle.items()
+                 if any(codes[start:start + len(write_back_then_fill)]
+                        == write_back_then_fill for start in range(len(codes)))]
+    assert len(evictions) == 1
+    assert golden.result.stats.l1d_writebacks == 1
+    for entry in line_a:
+        assert index.next_read(TargetStructure.L1D, entry, evictions[0]) == evictions[0]
+
+    full, part = line_a[0], line_a[2]
+    filled = next(cycle for cycle, codes in sorted(by_cycle.items())
+                  if codes[:WORDS_PER_LINE] == [~entry for entry in line_a])
+    assert by_cycle[filled][WORDS_PER_LINE:] == [~full]
+    stored = next(cycle for cycle in sorted(by_cycle) if cycle > filled
+                  and part in by_cycle[cycle])
+    assert stored < evictions[0]
+    assert by_cycle[stored] == [part]
+    assert index.next_read(TargetStructure.L1D, part, filled + 1) == stored
+    assert not index.masked(TargetStructure.L1D, part, stored)

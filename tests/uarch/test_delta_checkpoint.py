@@ -167,3 +167,22 @@ def test_partial_restore_with_faults_is_exact():
     for plan, pooled_result in zip(plans, pooled_results):
         fresh = OutOfOrderCpu(program, CONFIG, fault_plan=plan)
         assert fresh.run() == pooled_result
+
+
+def test_moving_between_checkpoints_of_a_timeline_is_exact():
+    """Restoring another checkpoint of the same timeline rewrites only the
+    entries the run dirtied plus those the golden run touched between the
+    two checkpoints, forwards and backwards, and must reach the full
+    state bit for bit."""
+    program = build_loop_program(40)
+    timeline = CheckpointTimeline(interval=16, max_checkpoints=64)
+    OutOfOrderCpu(program, CONFIG).run(cycle_hook=timeline.observe)
+    states = timeline.states()
+    assert len(states) > 4
+    pooled = OutOfOrderCpu(program, CONFIG)
+    pooled.fault_plan = {states[1].cycle + 3: [(TargetStructure.L1D, 5, 3)]}
+    for state in (states[1], states[-2], states[2], states[-1], states[0]):
+        restore_state(pooled, state, timeline)
+        assert capture_state(pooled) == state
+        assert pooled._restore_base is state
+        pooled.run(max_cycles=state.cycle + 20)

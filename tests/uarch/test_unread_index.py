@@ -1,10 +1,10 @@
-"""The dead-cell index's RF read windows.
+"""The dead-cell index's access logs, checked by injection.
 
-A one-cycle RF flip whose register the golden run overwrites, or never
-reads again, before anything reads it is answered with the golden result
-before any restore.  These tests inject exactly those faults on the
-reference path (a fresh CPU from cycle 0) and require the golden result
-in every field.
+A one-cycle flip whose cell (RF register, SQ data latch, L1D word) the
+golden run overwrites, or never reads again, before anything reads it is
+answered with the golden result before any restore.  These tests inject
+the answered flips into cells in use on the reference path (a fresh CPU
+from cycle 0) and require the golden result in every field.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.faults.golden import capture_golden
 from repro.faults.injector import inject_fault
 from repro.faults.model import FaultSpec
 from repro.testing import (
+    build_l1d_access_program,
     build_loop_program,
     small_config,
     unread_index_disagreements,
@@ -25,21 +26,38 @@ from repro.uarch.pipeline import OutOfOrderCpu, TerminationKind
 from repro.uarch.structures import TargetStructure
 from repro.workloads.registry import build_program
 
+STRUCTURES = list(TargetStructure)
 
-def test_every_unread_flip_of_a_loop_is_masked():
-    """Every answered (register, cycle) pair whose register is not on the
-    free list, exhaustively."""
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.name)
+def test_every_answered_flip_of_a_loop_is_masked(structure):
+    """Every run of answered boundaries of a cell in use, exhaustively."""
     injected, disagreements = unread_index_disagreements(
-        build_loop_program(3), small_config())
-    assert injected > 1000
+        build_loop_program(3), small_config(), structure=structure)
+    assert injected >= (50 if structure is TargetStructure.RF else 3)
     assert disagreements == 0, f"{disagreements} of {injected} faults disagree"
 
 
-@pytest.mark.parametrize("workload", ["qsort", "sha", "fft", "libquantum", "gcc"])
-def test_sampled_unread_flips_are_masked(workload):
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.name)
+def test_every_answered_flip_of_the_l1d_kernel_is_masked(structure):
+    """The kernel reads through every logged kind of access: a dirty
+    eviction's write-back, a squashed load, the end-of-run flush, a
+    sub-word store, and a load's address register.  Dropping the log of
+    any one of these makes this fail."""
     injected, disagreements = unread_index_disagreements(
-        build_program(workload, 1), sample=30, seed=0)
-    assert injected == 30
+        build_l1d_access_program(), small_config().with_l1d(1),
+        structure=structure)
+    assert injected > 0
+    assert disagreements == 0, f"{disagreements} of {injected} faults disagree"
+
+
+@pytest.mark.parametrize("structure", [TargetStructure.SQ, TargetStructure.L1D],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("workload", ["qsort", "sha", "fft", "libquantum", "gcc"])
+def test_sampled_answered_flips_are_masked(workload, structure):
+    injected, disagreements = unread_index_disagreements(
+        build_program(workload, 1), structure=structure, sample=20, seed=0)
+    assert injected > 0
     assert disagreements == 0, f"{disagreements} of {injected} faults disagree"
 
 
@@ -62,7 +80,7 @@ def test_reads_in_the_last_step_of_a_simpoint_golden_are_kept():
 
     def arm(cpu):
         if cpu.cycle == last:
-            logs.append(cpu.begin_rf_access_log())
+            logs.append(cpu.begin_access_log()[TargetStructure.RF])
         return None
 
     replay = OutOfOrderCpu(program, config).run(max_instructions=BUDGET,
