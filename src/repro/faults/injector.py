@@ -52,7 +52,9 @@ def _simulator_crash_result(golden: GoldenRecord, reason: str) -> SimulationResu
 
 
 #: What a run segment returns when the injector stops it to jump: a
-#: placeholder that is never classified, since the run goes on.
+#: placeholder that is never classified, since the run goes on.  The
+#: injector's own cycle hook returns it, not the reconvergence hook, whose
+#: every non-None return ``bench/tracer.py`` files as a reconvergence.
 _JUMP = SimulationResult(
     termination=TerminationKind.TIMEOUT,
     output=[],
@@ -104,10 +106,11 @@ def inject_fault(
     - At every checkpoint after the fault's active window has closed,
       :func:`~repro.uarch.checkpoint.make_reconvergence_hook` compares
       the run with the golden checkpoint.  If the run differs only in
-      stored values and none is left to read, it ends with the golden
-      result; if the rest are read only past a later checkpoint, the run
-      stops, restores that checkpoint, stores the faulty values and goes
-      on (between ``OutOfOrderCpu.run`` calls, never inside the hook).
+      stored values and none is read again, it ends with the golden
+      result; if the first read lies past a later checkpoint, the run
+      stops, restores the last such checkpoint, stores every faulty
+      value the golden run has not overwritten by then and goes on
+      (between ``OutOfOrderCpu.run`` calls, never inside the hook).
 
     None of this is done when the golden run was cut at an instruction
     budget but ``simpoint_mode`` is off: such a run goes on past the

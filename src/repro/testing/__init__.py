@@ -325,14 +325,21 @@ def unread_index_disagreements(program: Program,
     slot, a word of a valid line (one replay finds when each unit is in
     use; dead cells are :func:`dead_index_disagreements`' part).  Such an
     answer is wrong only if the golden run reads the cell, unlogged,
-    before it next overwrites it, so the first boundary of each run, which
-    precedes every such read, is the fault that tells; and the fault
-    flips every bit of the cell, so that such a read shows as widely as
-    it can.  ``sample`` of these (cell, boundary) faults (all when None)
-    are drawn with ``seed``, and each is injected on the reference path:
-    a fresh CPU from cycle 0, no fast-forward.  A result that differs from
-    the golden result in any field is a disagreement.  Returns ``(faults
-    injected, disagreements)``.
+    before it next overwrites it.
+
+    - **RF:** every (register, boundary) pair of these runs is a fault,
+      with one bit drawn by the sampling generator.
+    - **SQ, L1D:** only the first boundary of each run, which precedes
+      every such read, and the fault flips every bit of the cell, so that
+      such a read shows as widely as it can.  (An L1D has thousands of
+      words, and a valid line's runs are long: every pair would be a
+      population too large to enumerate at default scale.)
+
+    ``sample`` of these faults (all when None) are drawn with ``seed``,
+    and each is injected on the reference path: a fresh CPU from cycle 0,
+    no fast-forward.  A result that differs from the golden result in any
+    field is a disagreement.  Returns ``(faults injected,
+    disagreements)``.
     """
     config = config if config is not None else MicroarchConfig()
     golden = capture_golden(program, config, trace=False,
@@ -366,6 +373,7 @@ def unread_index_disagreements(program: Program,
     for unit, start in opened.items():
         live_spans.setdefault(unit, []).append((start, last))
     per_unit = WORDS_PER_LINE if structure is TargetStructure.L1D else 1
+    rf = structure is TargetStructure.RF
     faults = []
     for entry in range(geometry.num_entries):
         spans = live_spans.get(entry // per_unit, [])
@@ -374,20 +382,32 @@ def unread_index_disagreements(program: Program,
         while i < len(masked) and j < len(spans):
             (low, high), (start, end) = masked[i], spans[j]
             if start <= high and low <= end:
-                faults.append((entry, max(start, low)))
+                if rf:
+                    faults.extend((entry, cycle) for cycle
+                                  in range(max(start, low), min(high, end) + 1))
+                else:
+                    faults.append((entry, max(start, low)))
             if high < end:
                 i += 1
             else:
                 j += 1
+    rng = random.Random(seed)
+    if rf:
+        faults.sort(key=lambda fault: (fault[1], fault[0]))
     if sample is not None and sample < len(faults):
-        faults = random.Random(seed).sample(faults, sample)
+        faults = rng.sample(faults, sample)
     disagreements = 0
     for entry, cycle in faults:
-        # Every bit of the cell at once: any read of it shows.
-        fault = FaultSpec(0, structure, entry=entry, bit=0, cycle=cycle,
-                          model="multi-bit",
-                          flips=tuple((entry, bit) for bit
-                                      in range(geometry.bits_per_entry)))
+        if rf:
+            fault = FaultSpec(0, structure, entry=entry,
+                              bit=rng.randrange(geometry.bits_per_entry),
+                              cycle=cycle)
+        else:
+            # Every bit of the cell at once: any read of it shows.
+            fault = FaultSpec(0, structure, entry=entry, bit=0, cycle=cycle,
+                              model="multi-bit",
+                              flips=tuple((entry, bit) for bit
+                                          in range(geometry.bits_per_entry)))
         disagreements += inject_fault(golden, fault).result != golden.result
     return len(faults), disagreements
 

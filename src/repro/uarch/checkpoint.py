@@ -773,18 +773,24 @@ class DeadCellIndex:
 
     A :class:`SimulationResult` carries no stored value other than through
     these reads.  So if, at a cycle boundary, a run equals the golden run
-    except in a set of cells, every cell whose next golden access is an
-    overwrite, or that is never accessed again, can be forgotten, and the
-    rest are safe until the earliest next read of any of them:
+    except in a set of cells, it *is* the golden run, those cells aside,
+    until the earliest next read of any of them; a cell overwritten before
+    then holds the golden value from its overwrite on.  When no cell is
+    read again, the run's result is the golden result:
     :func:`~repro.faults.injector.inject_fault` answers a one-cycle fault
-    whose every flipped cell is masked (:meth:`masked_reason`) with the
-    golden result before any restore, and otherwise restores the golden
-    checkpoint before the flipped cells' first read
-    (:meth:`next_read`); :func:`make_reconvergence_hook` applies the same
-    rule at later checkpoints.  Like the reconvergence exit, an answer
-    holds only for an injection run that ends where the golden run did,
-    as the injector checks: a golden run that halted, or a SimPoint
-    injection, which stops at the golden run's instruction count.
+    whose every flipped cell is masked (:meth:`masked_reason`) with it
+    before any restore.  Otherwise the run may resume at any golden
+    checkpoint up to that read, holding the faulty values of the cells not
+    yet overwritten there: the injector restores the checkpoint before the
+    flipped cells' first read (:meth:`next_read`), and
+    :func:`make_reconvergence_hook` applies the same rule at later
+    checkpoints (:meth:`next_access`).  A cell overwritten after that
+    read, or never accessed again, must be carried along: past the read
+    the run may leave the golden path and read it.  Like the
+    reconvergence exit, an answer holds only for an injection run that
+    ends where the golden run did, as the injector checks: a golden run
+    that halted, or a SimPoint injection, which stops at the golden run's
+    instruction count.
     (:func:`_flip_sites_dead` is a stricter predicate on a live CPU,
     "the cell is free storage", kept as this index's test oracle: every
     dead cell must be answered masked.)
@@ -867,24 +873,34 @@ class DeadCellIndex:
             log.clear()
 
     # ------------------------------------------------------------------
+    def next_access(self, structure: TargetStructure, entry: int,
+                    cycle: int) -> Optional[Tuple[int, bool]]:
+        """The golden run's next access to fault-target ``entry`` from
+        boundary ``cycle`` on, as ``(cycle, is_read)``; None when it is
+        never accessed again.
+
+        Where the index knows nothing (outside the observed boundaries,
+        or before :meth:`finish`) the answer is a read at ``cycle`` itself.
+        """
+        units = self._accesses.get(structure)
+        if units is None or not self.first <= cycle <= self.last:
+            return cycle, True
+        codes = units[entry]
+        position = bisect.bisect_left(codes, 2 * cycle)
+        if position == len(codes):
+            return None
+        code = codes[position]
+        return code >> 1, bool(code & 1)
+
     def next_read(self, structure: TargetStructure, entry: int,
                   cycle: int) -> Optional[int]:
         """The cycle of the golden run's next read of fault-target
         ``entry``, from boundary ``cycle`` on; None when its next access
-        is a full overwrite, or when it is never accessed again.
-
-        Where the index knows nothing (outside the observed boundaries,
-        or before :meth:`finish`) the answer is ``cycle`` itself: read at
-        once.
-        """
-        units = self._accesses.get(structure)
-        if units is None or not self.first <= cycle <= self.last:
-            return cycle
-        codes = units[entry]
-        position = bisect.bisect_left(codes, 2 * cycle)
-        if position == len(codes) or not codes[position] & 1:
+        is a full overwrite, or when it is never accessed again."""
+        access = self.next_access(structure, entry, cycle)
+        if access is None or not access[1]:
             return None
-        return codes[position] >> 1
+        return access[0]
 
     def masked(self, structure: TargetStructure, entry: int, cycle: int) -> bool:
         """Whether a one-cycle flip into fault-target ``entry`` at boundary
@@ -1236,7 +1252,7 @@ _KEYED_FIELDS = ("prf_entries", "sq_slots", "dcache_lines", "l2_sets",
                  "memory_words")
 
 
-def _live_dirty(cpu: OutOfOrderCpu) -> Tuple[Optional[set], ...]:
+def _live_dirty(cpu: OutOfOrderCpu) -> Tuple[set, ...]:
     """The CPU's dirty sets, in :data:`_KEYED_FIELDS` order, undrained."""
     branch = cpu.branch_unit
     return (cpu.prf._dirty, cpu.store_queue._dirty, cpu.dcache._dirty,
@@ -1247,25 +1263,15 @@ def _live_dirty(cpu: OutOfOrderCpu) -> Tuple[Optional[set], ...]:
 def _compared_keys(cpu: OutOfOrderCpu, timeline: "CheckpointTimeline",
                    state: CpuState) -> Tuple:
     """Per keyed component, the entries in which ``cpu`` can differ from
-    ``state``: every entry, unless ``cpu`` was restored from a checkpoint
-    of ``timeline`` and has tracked its writes since."""
+    ``state``: those dirtied since ``cpu`` was restored from a checkpoint
+    of ``timeline``, and those the golden run touched between that
+    checkpoint and ``state``."""
     base = cpu._restore_base
-    dirty = _live_dirty(cpu)
-    touched = None
-    if base is not None and cpu.delta_tracking and None not in dirty:
-        touched = timeline.touched(base, state)
-    if touched is not None:
-        return tuple(live | golden for live, golden in zip(dirty, touched))
-    (local, global_, chooser, _), (btb_tags, _) = state.branch
-    predictor = [(name, index)
-                 for name, table in (("local", local), ("global", global_),
-                                     ("chooser", chooser))
-                 for index in range(len(table))]
-    return (range(cpu.prf.num_regs),
-            range(cpu.store_queue.num_entries), range(len(state.dcache[0])),
-            range(cpu.dcache.l2.num_sets), range(cpu.icache._cache.num_sets),
-            predictor, range(len(btb_tags)),
-            set(cpu.memory._words) | set(state.memory[1]))
+    touched = None if base is None else timeline.touched(base, state)
+    if touched is None:
+        raise ValueError("value_divergence needs a CPU restored from a "
+                         "checkpoint of the same timeline")
+    return tuple(live | golden for live, golden in zip(_live_dirty(cpu), touched))
 
 
 def value_divergence(cpu: OutOfOrderCpu, timeline: "CheckpointTimeline",
@@ -1279,11 +1285,11 @@ def value_divergence(cpu: OutOfOrderCpu, timeline: "CheckpointTimeline",
     Everything else must be equal: memory, ready bits, slot and line
     control fields, the in-flight uops with their values, cache tags and
     LRU, the branch predictor, timing and statistics.  The cost is
-    O(touched entries): for a CPU restored from a checkpoint of
-    ``timeline`` with dirty tracking on (every injection CPU) only the
-    entries in its dirty sets since that restore, read without draining,
-    and those the golden run's deltas touched between that checkpoint and
-    ``state`` can differ; any other CPU is compared everywhere.
+    O(touched entries): ``cpu`` must have been restored from a checkpoint
+    of ``timeline`` (every injection CPU is), and only the entries in its
+    dirty sets since that restore, read without draining, and those the
+    golden run's deltas touched between that checkpoint and ``state`` can
+    differ.
     """
     if (_quick_mismatch(cpu, state)
             or cpu.fetch_stall_until != state.fetch_stall_until
@@ -1419,39 +1425,42 @@ def make_reconvergence_hook(
     timeline: CheckpointTimeline,
     fault,
     golden_result: SimulationResult,
-    skip: Optional[ValueSkip] = None,
+    skip: ValueSkip,
 ) -> Callable[[OutOfOrderCpu], Optional[SimulationResult]]:
     """Build a ``cycle_hook`` that ends a run once the rest of it provably
-    equals the golden run.
+    equals the golden run, and hands ``skip`` the jumps it may take.
 
     At every checkpointed cycle strictly after the *active window* of
     ``fault`` (a :class:`~repro.faults.model.FaultSpec`) has closed, the
     live state is compared with the golden checkpoint by
-    :func:`value_divergence`, in O(touched entries).  If it differs
-    anywhere but in stored values, the run goes on.  Otherwise the cells
-    whose next golden access is a full overwrite, or that are never
-    accessed again, are dropped (:meth:`DeadCellIndex.next_read`); if
-    none is left — the state was equal (exact reconvergence), or every
-    differing value is never read — the simulator's determinism makes the
-    rest of the run the golden run, and the hook returns a copy of the
-    golden result, which stops the pipeline.  Checkpoints inside a
-    still-open window are never candidates: a later re-application
-    (intermittent) or re-pin (stuck-at) could diverge state that
-    momentarily matched.
+    :func:`value_divergence`, in O(touched entries); the run must have
+    been restored from a checkpoint of ``timeline``.  If it differs
+    anywhere but in stored values, the run goes on.  Otherwise each
+    differing cell's next golden access is looked up
+    (:meth:`DeadCellIndex.next_access`):
 
-    With ``skip``, a run whose remaining cells are next read past a later
-    checkpoint is handed that jump: the hook sets ``skip.jump`` to the
-    last golden checkpoint at or before the earliest of those reads, with
-    the cells' faulty values.  Until then nothing reads or writes them, so
-    that checkpoint plus those values *is* the run's state there.  The
-    hook does not stop the run for it; the caller does, and restores
-    between ``OutOfOrderCpu.run`` calls (see
-    :func:`~repro.faults.injector.inject_fault`).
+    - If no cell is read again — the state was equal (exact
+      reconvergence), or every differing value is overwritten before it
+      is read, or never accessed — the simulator's determinism makes the
+      rest of the run the golden run, and the hook returns a copy of the
+      golden result, which stops the pipeline.
+    - Otherwise the run is the golden run, those cells aside, until the
+      earliest next read.  If a golden checkpoint lies past this one and
+      at or before that read, the hook sets ``skip.jump`` to the last such
+      checkpoint with every cell the golden run has not overwritten by
+      then: those read later, those overwritten at or after it, and those
+      never accessed again, which past the read the run may still reach.
+      That checkpoint plus those values *is* the run's state there.  The
+      hook does not stop the run for it; the caller does, and restores
+      between ``OutOfOrderCpu.run`` calls (see
+      :func:`~repro.faults.injector.inject_fault`).
 
-    One-cycle faults whose every flipped cell the golden run overwrites,
-    or never accesses, before it reads it never get here:
-    :func:`~repro.faults.injector.inject_fault` answers them from the
-    timeline's :class:`DeadCellIndex` before any restore.
+    Checkpoints inside a still-open window are never candidates: a later
+    re-application (intermittent) or re-pin (stuck-at) could diverge
+    state that momentarily matched.  One-cycle faults whose every flipped
+    cell the golden run overwrites, or never accesses, before it reads it
+    never get here: :func:`~repro.faults.injector.inject_fault` answers
+    them from the timeline's :class:`DeadCellIndex` before any restore.
     """
     last_active = fault.last_active_cycle
     index = timeline.dead_cells
@@ -1467,22 +1476,19 @@ def make_reconvergence_hook(
         cells = value_divergence(cpu, timeline, state)
         if cells is None:
             return None
-        kept, reads = [], []
-        for cell in cells:
-            read = index.next_read(cell[0], cell[1], cycle)
-            if read is not None:
-                kept.append(cell)
-                reads.append(read)
-        if not kept:
-            if skip is not None:
-                skip.unread = bool(cells)
+        accesses = [index.next_access(structure, entry, cycle)
+                    for structure, entry, _ in cells]
+        reads = [access[0] for access in accesses if access and access[1]]
+        if not reads:
+            skip.unread = bool(cells)
             return clone_result(golden_result)
-        if skip is not None:
-            target = timeline.nearest(min(reads))
-            if target.cycle > cycle:
-                skip.jump = (target, kept)
-                # The landing checkpoint holds these same cells.
-                last_active = target.cycle
+        target = timeline.nearest(min(reads))
+        if target.cycle > cycle:
+            skip.jump = (target, [
+                cell for cell, access in zip(cells, accesses)
+                if access is None or access[1] or access[0] >= target.cycle])
+            # The landing checkpoint holds these same cells.
+            last_active = target.cycle
         return None
 
     return hook

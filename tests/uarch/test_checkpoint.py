@@ -10,6 +10,7 @@ from repro.faults.model import FaultSpec
 from repro.testing import build_call_program, build_loop_program, small_config
 from repro.uarch.checkpoint import (
     CheckpointTimeline,
+    ValueSkip,
     capture_state,
     clone_result,
     make_reconvergence_hook,
@@ -267,10 +268,12 @@ def test_reconvergence_hook_returns_golden_result_for_identical_run():
     golden = fresh_cpu().run(cycle_hook=timeline.observe)
 
     never_read = FaultSpec(0, TargetStructure.RF, entry=0, bit=0, cycle=0)
-    hook = make_reconvergence_hook(timeline, never_read, golden)
-    # A fresh fault-free run IS the golden run: the hook must fire at the
-    # first checkpoint after the (trivial) fault cycle.
-    early = fresh_cpu().run(cycle_hook=hook)
+    hook = make_reconvergence_hook(timeline, never_read, golden, ValueSkip())
+    # A fault-free run IS the golden run: the hook must fire at the first
+    # checkpoint after the (trivial) fault cycle.
+    cpu = fresh_cpu()
+    restore_state(cpu, timeline.nearest(0), timeline)
+    early = cpu.run(cycle_hook=hook)
     assert early == golden
     assert early is not golden
     assert early.output is not golden.output
@@ -284,7 +287,7 @@ def test_reconvergence_hook_never_fires_for_diverged_run():
     fault = FaultSpec(0, TargetStructure.RF, entry=2, bit=0, cycle=120)
 
     fired = []
-    hook = make_reconvergence_hook(timeline, fault, golden)
+    hook = make_reconvergence_hook(timeline, fault, golden, ValueSkip())
 
     def spying(cpu):
         result = hook(cpu)
@@ -292,6 +295,8 @@ def test_reconvergence_hook_never_fires_for_diverged_run():
             fired.append(cpu.cycle)
         return result
 
-    faulty = fresh_cpu(fault_plan=fault.plan()).run(cycle_hook=spying)
+    cpu = fresh_cpu(fault_plan=fault.plan())
+    restore_state(cpu, timeline.nearest(0), timeline)
+    faulty = cpu.run(cycle_hook=spying)
     if faulty.output != golden.output:
         assert not fired, "diverged run must never adopt the golden result"
